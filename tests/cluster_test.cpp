@@ -34,16 +34,29 @@ ClusterConfig small_cluster() {
   return cfg;
 }
 
+void expect_bitwise_identical(const mem::BandwidthReport& a, const mem::BandwidthReport& b) {
+  EXPECT_EQ(a.total_gbytes_per_sec, b.total_gbytes_per_sec);
+  EXPECT_EQ(a.read_gbytes_per_sec, b.read_gbytes_per_sec);
+  EXPECT_EQ(a.write_gbytes_per_sec, b.write_gbytes_per_sec);
+  for (std::size_t c = 0; c < a.by_class_gbytes_per_sec.size(); ++c) {
+    EXPECT_EQ(a.by_class_gbytes_per_sec[c], b.by_class_gbytes_per_sec[c]) << "class " << c;
+  }
+}
+
+// Every Metrics field, in declaration order.
 void expect_bitwise_identical(const Metrics& a, const Metrics& b) {
   EXPECT_EQ(a.app_throughput_gbps, b.app_throughput_gbps);
   EXPECT_EQ(a.link_utilization, b.link_utilization);
   EXPECT_EQ(a.drop_rate, b.drop_rate);
   EXPECT_EQ(a.iotlb_misses_per_packet, b.iotlb_misses_per_packet);
-  EXPECT_EQ(a.memory.total_gbytes_per_sec, b.memory.total_gbytes_per_sec);
-  EXPECT_EQ(a.remote_memory.total_gbytes_per_sec, b.remote_memory.total_gbytes_per_sec);
+  expect_bitwise_identical(a.memory, b.memory);
   EXPECT_EQ(a.host_delay_p50_us, b.host_delay_p50_us);
   EXPECT_EQ(a.host_delay_p99_us, b.host_delay_p99_us);
   EXPECT_EQ(a.host_delay_max_us, b.host_delay_max_us);
+  EXPECT_EQ(a.victim_reads, b.victim_reads);
+  EXPECT_EQ(a.victim_read_p50_us, b.victim_read_p50_us);
+  EXPECT_EQ(a.victim_read_p99_us, b.victim_read_p99_us);
+  expect_bitwise_identical(a.remote_memory, b.remote_memory);
   EXPECT_EQ(a.data_packets_sent, b.data_packets_sent);
   EXPECT_EQ(a.retransmits, b.retransmits);
   EXPECT_EQ(a.rto_fires, b.rto_fires);
@@ -55,11 +68,111 @@ void expect_bitwise_identical(const Metrics& a, const Metrics& b) {
   EXPECT_EQ(a.pcie_translation_stalls, b.pcie_translation_stalls);
   EXPECT_EQ(a.pcie_write_buffer_stalls, b.pcie_write_buffer_stalls);
   EXPECT_EQ(a.hol_descriptor_stalls, b.hol_descriptor_stalls);
-  EXPECT_EQ(a.victim_reads, b.victim_reads);
-  EXPECT_EQ(a.victim_read_p99_us, b.victim_read_p99_us);
   EXPECT_EQ(a.avg_cwnd, b.avg_cwnd);
+  EXPECT_EQ(a.fault_windows, b.fault_windows);
+  EXPECT_EQ(a.fault_drops, b.fault_drops);
+  EXPECT_EQ(a.fault_active_us, b.fault_active_us);
+  EXPECT_EQ(a.fault_blind_us, b.fault_blind_us);
+  EXPECT_EQ(a.run_status, b.run_status);
+  EXPECT_EQ(a.run_status_detail, b.run_status_detail);
   EXPECT_EQ(a.simulated_seconds, b.simulated_seconds);
   EXPECT_EQ(a.events_executed, b.events_executed);
+}
+
+// ------------------------------------------------------ pinned values
+
+// Exact Metrics of three single-host runs, captured from the
+// Experiment that wired net::Fabric itself (before it became the
+// one-leaf cluster). Zero fields are left at their defaults. The
+// faulted runs pin the `link=` fault key: a sender uplink (whose drops
+// only the whole-fabric count sees) and the access link.
+
+Metrics pinned_fault_free() {
+  Metrics m;
+  m.app_throughput_gbps = 24.969216000000003;
+  m.link_utilization = 0.28207872000000001;
+  m.memory.total_gbytes_per_sec = 3.5369958399999994;
+  m.memory.by_class_gbytes_per_sec[0] = 2.63008;
+  m.memory.by_class_gbytes_per_sec[2] = 0.9069158399999997;
+  m.memory.read_gbytes_per_sec = 1.0185318399999999;
+  m.memory.write_gbytes_per_sec = 2.5184640000000003;
+  m.host_delay_p50_us = 11.875;
+  m.host_delay_p99_us = 31.25;
+  m.host_delay_max_us = 31.965715999999997;
+  m.data_packets_sent = 398;
+  m.delivered_packets = 381;
+  m.iotlb_lookups = 7602;
+  m.avg_cwnd = 4.4256648146802569;
+  m.simulated_seconds = 0.0005;
+  m.events_executed = 32854u;
+  return m;
+}
+
+Metrics pinned_sender_uplink_loss() {
+  Metrics m;
+  m.app_throughput_gbps = 23.855104000000001;
+  m.link_utilization = 0.26498304;
+  m.memory.total_gbytes_per_sec = 3.3306572800000009;
+  m.memory.by_class_gbytes_per_sec[0] = 2.4641280000000001;
+  m.memory.by_class_gbytes_per_sec[2] = 0.86652928000000085;
+  m.memory.read_gbytes_per_sec = 0.97238528000000113;
+  m.memory.write_gbytes_per_sec = 2.3582720000000004;
+  m.host_delay_p50_us = 11.625;
+  m.host_delay_p99_us = 21.75;
+  m.host_delay_max_us = 23.914635999999998;
+  m.data_packets_sent = 377;
+  m.delivered_packets = 364;
+  m.fabric_drops = 4;
+  m.iotlb_lookups = 7151;
+  m.avg_cwnd = 4.2760449954563509;
+  m.fault_windows = 1;
+  m.fault_active_us = 200;
+  m.simulated_seconds = 0.0005;
+  m.events_executed = 31439u;
+  return m;
+}
+
+Metrics pinned_access_rate_downgrade() {
+  Metrics m;
+  m.app_throughput_gbps = 24.117248;
+  m.link_utilization = 0.27424320000000002;
+  m.memory.total_gbytes_per_sec = 3.4279680000000003;
+  m.memory.by_class_gbytes_per_sec[0] = 2.551936;
+  m.memory.by_class_gbytes_per_sec[2] = 0.87603200000000037;
+  m.memory.read_gbytes_per_sec = 0.98432000000000042;
+  m.memory.write_gbytes_per_sec = 2.443648;
+  m.host_delay_p50_us = 10.625;
+  m.host_delay_p99_us = 29.25;
+  m.host_delay_max_us = 31.966056999999999;
+  m.data_packets_sent = 382;
+  m.delivered_packets = 368;
+  m.iotlb_lookups = 7391;
+  m.avg_cwnd = 4.3704474696464999;
+  m.fault_windows = 1;
+  m.fault_active_us = 200;
+  m.simulated_seconds = 0.0005;
+  m.events_executed = 32199u;
+  return m;
+}
+ExperimentConfig with_faults(const char* spec) {
+  ExperimentConfig cfg = small_config();
+  cfg.faults = fault::parse_script(spec).script;
+  return cfg;
+}
+
+TEST(SingleHostPinned, FaultFreeRunReproducesPinnedMetrics) {
+  Experiment exp(small_config());
+  expect_bitwise_identical(exp.run(), pinned_fault_free());
+}
+
+TEST(SingleHostPinned, SenderUplinkLossReproducesPinnedMetrics) {
+  Experiment exp(with_faults("net.loss@300us+200us,link=1,prob=0.2"));
+  expect_bitwise_identical(exp.run(), pinned_sender_uplink_loss());
+}
+
+TEST(SingleHostPinned, AccessRateDowngradeReproducesPinnedMetrics) {
+  Experiment exp(with_faults("net.rate@300us+200us,link=access,gbps=25"));
+  expect_bitwise_identical(exp.run(), pinned_access_rate_downgrade());
 }
 
 // ------------------------------------------------------------ parity
