@@ -11,15 +11,13 @@
 // promise it), gated through their allocs_per_op counters.
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
-#include <new>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "alloc_tally.h"
 #include "common/fmt.h"
 #include "common/rng.h"
 #include "common/sketch.h"
@@ -27,58 +25,9 @@
 #include "workload/flow_pool.h"
 #include "workload/workload.h"
 
-// ---------------------------------------------------------------------------
-// Counting allocator hook (same shape as micro_engine's): every global
-// operator new bumps g_allocs so benches can report exact heap
-// allocations per iteration ("allocs_per_op").
-static std::atomic<std::uint64_t> g_allocs{0};
-
-static void* counted_alloc(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new(std::size_t n) { return counted_alloc(n); }
-void* operator new[](std::size_t n) { return counted_alloc(n); }
-void* operator new(std::size_t n, std::align_val_t a) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  const auto align = static_cast<std::size_t>(a);
-  const std::size_t rounded = (n + align - 1) / align * align;
-  if (void* p = std::aligned_alloc(align, rounded ? rounded : align)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n, std::align_val_t a) {
-  return ::operator new(n, a);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-
 namespace {
 
 using namespace hicc;
-
-/// Snapshot g_allocs around the timed loop and report the average as an
-/// `allocs_per_op` user counter (also picked up by the --json reporter).
-class AllocTally {
- public:
-  explicit AllocTally(benchmark::State& state)
-      : state_(state), start_(g_allocs.load(std::memory_order_relaxed)) {}
-  ~AllocTally() {
-    const std::uint64_t delta =
-        g_allocs.load(std::memory_order_relaxed) - start_;
-    state_.counters["allocs_per_op"] = benchmark::Counter(
-        static_cast<double>(delta), benchmark::Counter::kAvgIterations);
-  }
-
- private:
-  benchmark::State& state_;
-  std::uint64_t start_;
-};
 
 /// Pure-arithmetic calibration loop (no memory traffic), identical to
 /// micro_engine's: the regression gate normalizes every bench against

@@ -32,6 +32,8 @@
 #include <cstring>
 #include <iostream>
 #include <map>
+#include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -64,20 +66,51 @@ volatile std::sig_atomic_t g_stop = 0;
 
 void handle_stop(int) { g_stop = 1; }
 
+/// A malformed or unused flag; main() prints it and exits kExitUsage.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
 struct Flags {
   std::map<std::string, std::string> kv;
 
+  /// The whole value must be a number: "1x" is a UsageError, not 1.
   [[nodiscard]] double number(const std::string& key, double def) const {
-    const auto it = kv.find(key);
-    return it == kv.end() ? def : std::atof(it->second.c_str());
+    const std::string* value = find(key);
+    if (value == nullptr) return def;
+    char* end = nullptr;
+    const double v = std::strtod(value->c_str(), &end);
+    if (value->empty() || *end != '\0') {
+      throw UsageError("bad --" + key + "=" + *value + " (want a number)");
+    }
+    return v;
   }
   [[nodiscard]] bool flag(const std::string& key, bool def) const {
     return number(key, def ? 1 : 0) != 0;
   }
   [[nodiscard]] std::string str(const std::string& key, const std::string& def) const {
-    const auto it = kv.find(key);
-    return it == kv.end() ? def : it->second;
+    const std::string* value = find(key);
+    return value == nullptr ? def : *value;
   }
+
+  /// Called once a run's code path has read every flag it uses: a flag
+  /// nothing read is a typo or belongs to another mode, and running the
+  /// defaults instead would hide that.
+  void reject_unread() const {
+    for (const auto& [key, value] : kv) {
+      if (read_.count(key) == 0) throw UsageError("unknown or unused flag --" + key);
+    }
+  }
+
+ private:
+  [[nodiscard]] const std::string* find(const std::string& key) const {
+    read_.insert(key);
+    const auto it = kv.find(key);
+    return it == kv.end() ? nullptr : &it->second;
+  }
+
+  /// Keys the chosen code path asked for.
+  mutable std::set<std::string> read_;
 };
 
 void usage() {
@@ -204,7 +237,8 @@ void usage() {
       "  --point-worker     internal: run one point read from stdin and\n"
       "                     write its hicc.sweep.v1 record to stdout\n"
       "exit codes:\n"
-      "  0 ok; 1 usage/IO error; 2 invalid configuration; 3 fault-script\n"
+      "  0 ok; 1 usage/IO error (also a malformed number, or a flag the\n"
+      "  chosen mode never reads); 2 invalid configuration; 3 fault-script\n"
       "  or spec parse error; 4 run finished degraded (run_status != ok);\n"
       "  5 supervisor gave up on >= 1 point; 6 interrupted (SIGINT/\n"
       "  SIGTERM; partial results + journal flushed); 127 worker exec\n"
@@ -249,24 +283,6 @@ void print_metrics(const hicc::Metrics& m) {
     std::printf("run status         %s (%s)\n", hicc::to_string(m.run_status),
                 m.run_status_detail.c_str());
   }
-}
-
-/// True when `key` is a per-host probe harvest ("trace.host<h>.name"),
-/// in which case *host receives h. Global probes ("trace.nic.x") and
-/// non-trace extras return false.
-bool host_scoped_probe(const std::string& key, int* host) {
-  constexpr char kPrefix[] = "trace.host";
-  if (key.rfind(kPrefix, 0) != 0) return false;
-  std::size_t i = sizeof(kPrefix) - 1;
-  const std::size_t digits_start = i;
-  int h = 0;
-  while (i < key.size() && key[i] >= '0' && key[i] <= '9') {
-    h = h * 10 + (key[i] - '0');
-    ++i;
-  }
-  if (i == digits_start || i >= key.size() || key[i] != '.') return false;
-  *host = h;
-  return true;
 }
 
 int run_topology(const Flags& flags, hicc::ExperimentConfig host_cfg,
@@ -378,6 +394,9 @@ int run_topology(const Flags& flags, hicc::ExperimentConfig host_cfg,
     }
     return kExitConfigInvalid;
   }
+  const std::string json_path = flags.str("json", "");
+  const std::string columnar_path = flags.str("columnar-out", "");
+  flags.reject_unread();
 
   hicc::ClusterExperiment exp(std::move(cfg));
   hicc::trace::FileTraceSink trace_file;
@@ -450,26 +469,14 @@ int run_topology(const Flags& flags, hicc::ExperimentConfig host_cfg,
     }
   }
 
-  const std::string json_path = flags.str("json", "");
-  const std::string columnar_path = flags.str("columnar-out", "");
   if (!json_path.empty() || !columnar_path.empty()) {
-    // One hicc.sweep.v1 point per receiver host: the effective per-host
-    // config, that receiver's Metrics, and extras carrying the host
-    // index, its fabric-port state, and its slice of the trace probes.
-    // Workload runs add the cluster-merged sketch quantiles as
-    // workload.* extras (identical on every row by construction).
-    std::vector<hicc::sweep::SweepResult> points(
-        static_cast<std::size_t>(exp.num_receivers()));
-    for (int r = 0; r < exp.num_receivers(); ++r) {
-      hicc::sweep::SweepResult& p = points[static_cast<std::size_t>(r)];
-      p.index = static_cast<std::size_t>(r);
-      p.config = exp.config().host;
-      p.metrics = cm.per_receiver[static_cast<std::size_t>(r)];
-      p.extra["host"] = r;
-      p.extra["cluster.port_drops"] =
-          static_cast<double>(exp.fabric().host_port_drops(r));
-      p.extra["cluster.port_queue_bytes"] =
-          static_cast<double>(exp.fabric().host_queue(r).count());
+    // One hicc.sweep.v1 point per receiver host (sweep::cluster_points),
+    // each with its slice of the trace probes. Workload runs add the
+    // cluster-merged sketch quantiles as workload.* extras (identical on
+    // every row by construction).
+    std::vector<hicc::sweep::SweepResult> points =
+        hicc::sweep::cluster_points(exp, cm, 0, &probes);
+    for (hicc::sweep::SweepResult& p : points) {
       if (cm.workload.enabled) {
         p.extra["workload.flows_started"] = static_cast<double>(cm.workload.flows_started);
         p.extra["workload.flows_completed"] =
@@ -484,10 +491,6 @@ int run_topology(const Flags& flags, hicc::ExperimentConfig host_cfg,
         p.extra["workload.slowdown_p999"] = cm.workload.slowdown_p999;
         p.extra["workload.host_delay_p99_us"] = cm.workload.host_delay_p99_us;
         p.extra["workload.host_delay_p999_us"] = cm.workload.host_delay_p999_us;
-      }
-      for (const auto& [key, value] : probes.extra) {
-        int h = -1;
-        if (!host_scoped_probe(key, &h) || h == r) p.extra[key] = value;
       }
     }
     if (!json_path.empty()) {
@@ -560,6 +563,8 @@ int run_isolated_sweep(const Flags& flags, const hicc::ExperimentConfig& cfg, in
       return i == target ? "inject=" + mode + "\n" : std::string();
     };
   }
+  const std::string json_path = flags.str("json", "");
+  flags.reject_unread();
 
   std::signal(SIGINT, handle_stop);
   std::signal(SIGTERM, handle_stop);
@@ -601,7 +606,6 @@ int run_isolated_sweep(const Flags& flags, const hicc::ExperimentConfig& cfg, in
     rc = kExitAborted;
   }
 
-  const std::string json_path = flags.str("json", "");
   if (!json_path.empty()) {
     if (hicc::sweep::save_merged_json(outcome, json_path)) {
       std::printf("(%ssweep record written to %s)\n",
@@ -614,34 +618,9 @@ int run_isolated_sweep(const Flags& flags, const hicc::ExperimentConfig& cfg, in
   return rc;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  // Worker mode first: the supervisor fork/execs this same binary with
-  // --point-worker; everything it needs arrives on stdin.
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--point-worker") == 0) {
-      return hicc::sweep::run_point_worker(std::cin, std::cout, std::cerr);
-    }
-  }
-
-  Flags flags;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      usage();
-      return 0;
-    }
-    if (arg.rfind("--", 0) != 0) {
-      std::fprintf(stderr, "unknown argument: %s (try --help)\n", argv[i]);
-      return 1;
-    }
-    const auto eq = arg.find('=');
-    const std::string key = arg.substr(2, eq == std::string::npos ? arg.npos : eq - 2);
-    const std::string value = eq == std::string::npos ? "1" : arg.substr(eq + 1);
-    flags.kv[key] = value;
-  }
-
+/// Everything after argument parsing: builds the config from `flags`
+/// and dispatches to the chosen mode.
+int run(const Flags& flags) {
   hicc::ExperimentConfig cfg;
   cfg.rx_threads = static_cast<int>(flags.number("threads", 12));
   cfg.num_senders = static_cast<int>(flags.number("senders", 40));
@@ -728,6 +707,8 @@ int main(int argc, char** argv) {
     // Replicas do not write per-run trace files; instead each point's
     // final probe values are harvested into SweepResult::extra.
     if (cfg.trace.enabled) opts.probe = hicc::sweep::harvest_trace;
+    const std::string json_path = flags.str("json", "");
+    flags.reject_unread();
     const hicc::sweep::SweepRunner runner(opts);
     const auto results = runner.run(std::move(points));
 
@@ -751,7 +732,6 @@ int main(int argc, char** argv) {
                 "(%d workers)\n",
                 mean, std::sqrt(var), runs, runner.jobs());
 
-    const std::string json_path = flags.str("json", "");
     if (!json_path.empty()) {
       if (hicc::sweep::save_json(results, json_path)) {
         std::printf("(sweep record written to %s)\n", json_path.c_str());
@@ -762,6 +742,9 @@ int main(int argc, char** argv) {
     }
     return 0;
   }
+
+  const double timeline_us = flags.number("timeline-us", 0.0);
+  flags.reject_unread();
 
   hicc::Experiment exp(cfg);
   hicc::trace::FileTraceSink trace_file;
@@ -780,7 +763,6 @@ int main(int argc, char** argv) {
     return true;
   };
 
-  const double timeline_us = flags.number("timeline-us", 0.0);
   if (timeline_us > 0.0) {
     exp.start();
     exp.advance(cfg.warmup);
@@ -803,4 +785,40 @@ int main(int argc, char** argv) {
   print_metrics(metrics);
   if (!close_trace()) return 1;
   return metrics.run_status == hicc::RunStatus::kOk ? kExitOk : kExitAborted;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Worker mode first: the supervisor fork/execs this same binary with
+  // --point-worker; everything it needs arrives on stdin.
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--point-worker") == 0) {
+      return hicc::sweep::run_point_worker(std::cin, std::cout, std::cerr);
+    }
+  }
+
+  Flags flags;
+  for (int i = 1; i < argc; ++i) {
+    std::string arg = argv[i];
+    if (arg == "--help" || arg == "-h") {
+      usage();
+      return 0;
+    }
+    if (arg.rfind("--", 0) != 0) {
+      std::fprintf(stderr, "unknown argument: %s (try --help)\n", argv[i]);
+      return kExitUsage;
+    }
+    const auto eq = arg.find('=');
+    const std::string key = arg.substr(2, eq == std::string::npos ? arg.npos : eq - 2);
+    const std::string value = eq == std::string::npos ? "1" : arg.substr(eq + 1);
+    flags.kv[key] = value;
+  }
+
+  try {
+    return run(flags);
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "%s (try --help)\n", e.what());
+    return kExitUsage;
+  }
 }

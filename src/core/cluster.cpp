@@ -15,16 +15,31 @@ ClusterConfig degenerate_cluster(const ExperimentConfig& cfg) {
   c.topology.hosts_per_leaf = cfg.num_senders + 1;
   c.topology.host_link_rate = cfg.fabric.link_rate;
   c.topology.fabric_link_rate = cfg.fabric.link_rate;
-  // Both degenerate hops are edge links; the legacy fabric's second
-  // hop uses access_propagation, so bitwise parity holds when the two
-  // propagations are equal (they are, by default: 2us each).
+  // Every packet crosses two edge hops; the lone leaf-spine pair
+  // carries nothing and just mirrors the edge.
   c.topology.edge_propagation = cfg.fabric.edge_propagation;
-  c.topology.fabric_propagation = cfg.fabric.access_propagation;
+  c.topology.fabric_propagation = cfg.fabric.edge_propagation;
   c.topology.edge_buffer = cfg.fabric.switch_buffer;
   c.topology.fabric_buffer = cfg.fabric.switch_buffer;
   c.receivers = 1;
   c.full_sender_hosts = false;
+  // `link=i` names sender i's uplink, which is host i+1's; `link=access`
+  // (-1) is receiver 0's downlink, the target of a net.* event with no
+  // link key at all.
+  c.faults = cfg.faults;
+  c.host.faults = fault::FaultScript{};
+  for (fault::FaultEvent& e : c.faults.events) {
+    const auto link = e.params.find("link");
+    if (link == e.params.end()) continue;
+    if (link->second >= 0.0) e.params["host"] = link->second + 1.0;
+    e.params.erase(link);
+  }
   return c;
+}
+
+std::string ClusterExperiment::probe_prefix(int h) const {
+  const bool single_host = receivers_ == 1 && !cfg_.full_sender_hosts && engine_ == nullptr;
+  return single_host ? std::string() : trace::host_prefix(h);
 }
 
 ClusterExperiment::ClusterExperiment(ClusterConfig cfg)
@@ -59,8 +74,7 @@ ClusterExperiment::ClusterExperiment(ClusterConfig cfg)
 
   // Receiver stacks first, then (optional) sender stacks, then the
   // serving transports -- a fixed fork order so equal seeds reproduce
-  // bitwise, and so the K=1 transport-only case forks exactly like the
-  // legacy Experiment (mem, remote mem, receiver, senders 0..M-1).
+  // bitwise.
   // Construction is always single-threaded; in parallel mode each
   // host's components simply schedule on its partition simulator, so
   // the fork order (and hence every RNG stream) is thread-count
@@ -68,7 +82,7 @@ ClusterExperiment::ClusterExperiment(ClusterConfig cfg)
   const bool open_loop = cfg_.workload.enabled();
   groups_.reserve(static_cast<std::size_t>(receivers_));
   for (int r = 0; r < receivers_; ++r) {
-    const trace::Tracer::ScopedPrefix prefix(tracer_.get(), trace::host_prefix(r));
+    const trace::Tracer::ScopedPrefix prefix(tracer_.get(), probe_prefix(r));
     const HostFactory factory(host_sim(r));
     ExperimentConfig host_cfg = cfg_.host;
     if (!cfg_.antagonist_profile.empty()) {
@@ -84,29 +98,30 @@ ClusterExperiment::ClusterExperiment(ClusterConfig cfg)
     sender_stacks_.reserve(static_cast<std::size_t>(senders_per_receiver_));
     for (int s = 0; s < senders_per_receiver_; ++s) {
       const int g = receivers_ + s;
-      const trace::Tracer::ScopedPrefix prefix(tracer_.get(), trace::host_prefix(g));
+      const trace::Tracer::ScopedPrefix prefix(tracer_.get(), probe_prefix(g));
       const HostFactory factory(host_sim(g));
       sender_stacks_.push_back(
           factory.make_full_host(cfg_.host, senders_per_receiver_, rng_, tracer_.get()));
     }
   }
 
-  sender_ports_.resize(static_cast<std::size_t>(senders_per_receiver_));
+  sender_ports_.resize(static_cast<std::size_t>(senders_per_receiver_ * receivers_));
   for (int r = 0; r < receivers_; ++r) {
     ReceiverGroup& group = groups_[static_cast<std::size_t>(r)];
     host::ReceiverHost& recv = *group.host.receiver;
+    group.senders.reserve(static_cast<std::size_t>(senders_per_receiver_));
     for (int s = 0; s < senders_per_receiver_; ++s) {
       const int g = receivers_ + s;
-      const trace::Tracer::ScopedPrefix prefix(tracer_.get(), trace::host_prefix(g));
-      sender_ports_[static_cast<std::size_t>(s)].push_back(
-          std::make_unique<transport::SenderHost>(
-              host_sim(g), s, cfg_.host.wire,
-              [this, g, r](net::Packet p) {
-                p.dst = r;
-                return fabric_->send_from_host(g, std::move(p));
-              },
-              rng_.fork()));
-      group.senders.push_back(sender_ports_[static_cast<std::size_t>(s)].back().get());
+      const trace::Tracer::ScopedPrefix prefix(tracer_.get(), probe_prefix(g));
+      auto& port = sender_ports_[static_cast<std::size_t>(s * receivers_ + r)];
+      port = std::make_unique<transport::SenderHost>(
+          host_sim(g), s, cfg_.host.wire,
+          [this, g, r](net::Packet p) {
+            p.dst = r;
+            return fabric_->send_from_host(g, std::move(p));
+          },
+          rng_.fork());
+      group.senders.push_back(port.get());
     }
     if (open_loop) {
       // Dynamic flows: sender-side state is created lazily on the
@@ -128,10 +143,10 @@ ClusterExperiment::ClusterExperiment(ClusterConfig cfg)
         // In parallel mode the controller's shared transport.* histograms
         // are prefixed per sender machine: flows on different machines
         // observe from different partitions, and host<g>.transport.* keeps
-        // every histogram single-writer (legacy runs keep the shared
+        // every histogram single-writer (serial runs keep the shared
         // catalog names).
         const trace::Tracer::ScopedPrefix prefix(
-            tracer_.get(), engine_ != nullptr ? trace::host_prefix(g) : "");
+            tracer_.get(), engine_ != nullptr ? probe_prefix(g) : "");
         group.senders[static_cast<std::size_t>(s)]->add_flow(
             flow, make_congestion_control(host_sim(g), cfg_.host, tracer_.get()));
       }
@@ -155,7 +170,7 @@ ClusterExperiment::ClusterExperiment(ClusterConfig cfg)
     workload_engines_.reserve(static_cast<std::size_t>(receivers_));
     const std::int64_t target = cfg_.workload.target_flows;
     for (int r = 0; r < receivers_; ++r) {
-      const trace::Tracer::ScopedPrefix prefix(tracer_.get(), trace::host_prefix(r));
+      const trace::Tracer::ScopedPrefix prefix(tracer_.get(), probe_prefix(r));
       workload::WorkloadEngine::Wiring w;
       w.sim = &host_sim(r);
       w.receiver = groups_[static_cast<std::size_t>(r)].host.receiver.get();
@@ -175,6 +190,8 @@ ClusterExperiment::ClusterExperiment(ClusterConfig cfg)
 
   if (tracer_ != nullptr) {
     for (int r = 0; r < receivers_; ++r) {
+      // Port gauges tell hosts apart; the single-host catalog has none.
+      if (probe_prefix(r).empty()) continue;
       tracer_->counter(trace::host_probe(r, "cluster.port_drops"), "packets",
                        [this, r] { return static_cast<double>(fabric_->host_port_drops(r)); });
       tracer_->gauge(trace::host_probe(r, "cluster.port_queue_bytes"), "bytes",
@@ -183,12 +200,10 @@ ClusterExperiment::ClusterExperiment(ClusterConfig cfg)
     tracer_->gauge("transport.cwnd_avg", "packets", [this] {
       double sum = 0.0;
       std::int64_t flows = 0;
-      for (const auto& per_receiver : sender_ports_) {
-        for (const auto& sender : per_receiver) {
-          for (const auto& [id, flow] : sender->flows()) {
-            sum += flow->cwnd();
-            ++flows;
-          }
+      for (const auto& sender : sender_ports_) {
+        for (const auto& [id, flow] : sender->flows()) {
+          sum += flow->cwnd();
+          ++flows;
         }
       }
       return flows > 0 ? sum / static_cast<double>(flows) : 0.0;
@@ -206,10 +221,12 @@ ClusterExperiment::ClusterExperiment(ClusterConfig cfg)
     sim_.set_watchdog(cfg_.host.watchdog);
   }
 
-  // Last on purpose, exactly like Experiment: the engine forks the
-  // cluster RNG after every component has taken its stream. Fault
+  // Last on purpose: the engine forks the cluster RNG after every
+  // component has taken its stream, and scripts with no due events
+  // schedule nothing that executes -- so an idle engine leaves the run
+  // bitwise identical to one without it (tests/fault_test.cpp). Fault
   // injectors mutate cross-partition state mid-window, so validate()
-  // rejects faults + parallelism >= 1; this path is legacy-only.
+  // rejects faults + parallelism >= 1; this path is serial-only.
   if (!cfg_.faults.empty()) {
     fault::FaultTargets targets;
     targets.clos = fabric_.get();
@@ -229,8 +246,8 @@ void ClusterExperiment::dispatch(int host, net::Packet p) {
   }
   // Reverse-path traffic (ACK / read request / host signal): p.sender
   // carries the originating receiver's index.
-  sender_ports_[static_cast<std::size_t>(host - receivers_)][static_cast<std::size_t>(p.sender)]
-      ->on_packet(p);
+  const int s = host - receivers_;
+  sender_ports_[static_cast<std::size_t>(s * receivers_ + p.sender)]->on_packet(p);
 }
 
 HostHarvestSources ClusterExperiment::harvest_sources(int r) const {
@@ -342,8 +359,8 @@ ClusterMetrics ClusterExperiment::snapshot() const {
   }
   if (engine_ != nullptr) {
     // Run-global figures span every partition; per-receiver Metrics
-    // carry the same run-global values (matching the legacy contract
-    // that events_executed/run_status are not per-host quantities).
+    // carry the same run-global values (events_executed/run_status are
+    // not per-host quantities).
     cm.partitions = engine_->partitions();
     cm.parallel_windows = engine_->windows();
     cm.parallel_messages = engine_->messages_delivered();

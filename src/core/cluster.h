@@ -21,10 +21,12 @@
 //
 // Determinism: one RNG stream forked in a fixed order -- per-receiver
 // host stacks, optional sender-host stacks, then per-(sender,
-// receiver) transports, fault engine last. With a one-leaf topology,
-// one receiver, and transport-only senders this is fork-for-fork the
-// legacy Experiment sequence, and the run reproduces its Metrics
-// bitwise (degenerate_cluster(), pinned by tests/cluster_test.cpp).
+// receiver) transports, fault engine last.
+//
+// The single-host experiment is the one-leaf case: Experiment
+// (core/experiment.h) runs ClusterExperiment(degenerate_cluster(cfg)),
+// one receiver and transport-only senders under one ToR, on the serial
+// simulator. tests/cluster_test.cpp pins its Metrics to exact values.
 //
 // Parallel execution (ClusterConfig::parallelism >= 1): the run is
 // partitioned onto a sim::ParallelEngine -- fabric interior in
@@ -37,6 +39,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -70,8 +73,8 @@ struct ClusterConfig {
   /// Hosts 0..receivers-1 run receiver workloads; the rest serve them.
   int receivers = 1;
   /// Build a full (quiescent) host stack on sender machines too. The
-  /// degenerate legacy mapping turns this off: the legacy Experiment
-  /// models senders at transport level only.
+  /// single-host mapping (degenerate_cluster()) turns this off: the
+  /// paper's testbed models senders at transport level only.
   bool full_sender_hosts = true;
   /// Cluster-level fault script; net.* events accept `leaf=`+`spine=`
   /// (a leaf-spine link) or `host=` (a host uplink) targeting.
@@ -90,16 +93,19 @@ struct ClusterConfig {
   /// co-locate memory-heavy batch jobs (the paper's Fig. 1 population
   /// with drops at low utilization).
   std::vector<int> antagonist_profile;
-  /// Engine worker threads. 0 (default) keeps the legacy single
-  /// Simulator. >= 1 partitions the run onto a sim::ParallelEngine --
-  /// partition 0 the fabric interior, partition 1+h host h -- with the
-  /// edge-link propagation delay as the conservative lookahead and
-  /// this many threads executing windows. The value changes wall-clock
-  /// time only: any parallelism >= 1 produces bitwise-identical
+  /// Engine worker threads. 0 (default) runs the serial path: one
+  /// Simulator for the whole run. >= 1 partitions the run onto a
+  /// sim::ParallelEngine -- partition 0 the fabric interior, partition
+  /// 1+h host h -- with the edge-link propagation delay as the
+  /// conservative lookahead and this many threads executing windows.
+  /// Any parallelism >= 1 produces bitwise-identical
   /// metrics/trace/sweep output (docs/PARALLELISM.md; pinned by
-  /// tests/parallel_test.cpp). Requires edge_propagation > 0 and an
-  /// empty fault script (validate(); fault injectors mutate
-  /// cross-partition state mid-window).
+  /// tests/parallel_test.cpp), but the serial path is a different
+  /// event order, not a 0-thread engine: the same congested run can
+  /// drop twice as many packets at 0 as at 1 (docs/PARALLELISM.md
+  /// gives the measured case), so the serial path stays. Requires
+  /// edge_propagation > 0 and an empty fault script (validate();
+  /// fault injectors mutate cross-partition state mid-window).
   int parallelism = 0;
   /// Per-(window, destination) cross-partition mailbox row bound for
   /// parallelism >= 1; 0 keeps the engine default (1M messages,
@@ -111,11 +117,13 @@ struct ClusterConfig {
   std::size_t mailbox_capacity = 0;
 };
 
-/// The degenerate one-leaf mapping of a legacy single-receiver config:
-/// N+1 hosts under one leaf (receiver plus N transport-only senders),
-/// edge links taking the legacy rates/buffers. With the default equal
-/// edge/access propagations this reproduces the legacy Experiment's
-/// Metrics bitwise (the parity test pins it).
+/// The one-leaf mapping of a single-host config -- the run Experiment
+/// is: N+1 hosts under one leaf (receiver 0 plus N transport-only
+/// senders), edge links taking cfg.fabric's rate, propagation and
+/// buffers. The single-host fault key `link=` becomes cluster
+/// targeting: `link=i` (sender i's uplink) is `host=i+1`, and
+/// `link=access` (-1) drops the key, which targets receiver 0's
+/// downlink.
 [[nodiscard]] ClusterConfig degenerate_cluster(const ExperimentConfig& cfg);
 
 /// Open-loop workload results for one window: counters summed and
@@ -148,8 +156,9 @@ struct WorkloadMetrics {
 /// Cluster-level aggregation of the per-receiver Metrics.
 struct ClusterMetrics {
   /// One Metrics per receiver host, index == host id. Each receiver's
-  /// `fabric_drops` counts its own ports; `events_executed`,
-  /// run status, and fault accounting are run-global.
+  /// `fabric_drops` counts its own ports (Experiment reports
+  /// total_fabric_drops instead); `events_executed`, run status, and
+  /// fault accounting are run-global.
   std::vector<Metrics> per_receiver;
   double total_app_throughput_gbps = 0.0;
   std::int64_t total_nic_buffer_drops = 0;
@@ -160,7 +169,7 @@ struct ClusterMetrics {
   RunStatus run_status = RunStatus::kOk;
   std::uint64_t events_executed = 0;
   double simulated_seconds = 0.0;
-  /// Parallel-engine accounting; all zero in legacy (parallelism=0)
+  /// Parallel-engine accounting; all zero in serial (parallelism=0)
   /// runs. Thread-count invariant: equal for any parallelism >= 1.
   int partitions = 0;
   std::uint64_t parallel_windows = 0;
@@ -170,7 +179,7 @@ struct ClusterMetrics {
 };
 
 /// One fully-wired multi-host simulation instance; run() may be
-/// called once, like Experiment.
+/// called once.
 class ClusterExperiment {
  public:
   explicit ClusterExperiment(ClusterConfig cfg);
@@ -191,15 +200,22 @@ class ClusterExperiment {
   /// Snapshot of current metrics relative to the last begin_window().
   [[nodiscard]] ClusterMetrics snapshot() const;
 
-  /// The fabric-partition simulator (the only one in legacy mode).
+  /// The fabric-partition simulator (the only one on the serial path).
   [[nodiscard]] sim::Simulator& simulator() { return fabric_sim(); }
   /// Null unless config().parallelism >= 1.
   [[nodiscard]] sim::ParallelEngine* engine() { return engine_.get(); }
   /// Null unless config().host.trace.enabled. Per-host component
-  /// probes appear under host_prefix(h); see docs/OBSERVABILITY.md.
+  /// probes appear under probe_prefix(h); see docs/OBSERVABILITY.md.
   [[nodiscard]] trace::Tracer* tracer() { return tracer_.get(); }
+  /// Trace-name prefix of host h's probes: trace::host_prefix(h), or
+  /// empty for the single-host model (one receiver, transport-only
+  /// senders, serial path), which keeps the unprefixed catalog and
+  /// registers no cluster.port_* gauges.
+  [[nodiscard]] std::string probe_prefix(int h) const;
   [[nodiscard]] net::ClosFabric& fabric() { return *fabric_; }
-  [[nodiscard]] host::ReceiverHost& receiver(int r) { return *groups_[static_cast<std::size_t>(r)].host.receiver; }
+  /// Receiver r's stack: memory pair, antagonist, datapath.
+  [[nodiscard]] FullHost& receiver_host(int r) { return groups_[static_cast<std::size_t>(r)].host; }
+  [[nodiscard]] host::ReceiverHost& receiver(int r) { return *receiver_host(r).receiver; }
   [[nodiscard]] int num_receivers() const { return receivers_; }
   [[nodiscard]] int num_sender_hosts() const { return senders_per_receiver_; }
   /// Null unless config().faults is non-empty.
@@ -256,9 +272,9 @@ class ClusterExperiment {
   std::vector<ReceiverGroup> groups_;
   /// Quiescent full stacks on sender machines (full_sender_hosts).
   std::vector<FullHost> sender_stacks_;
-  /// sender_ports_[s][r]: sender machine receivers_+s's transport
-  /// serving receiver r.
-  std::vector<std::vector<std::unique_ptr<transport::SenderHost>>> sender_ports_;
+  /// sender_ports_[s * receivers_ + r]: sender machine receivers_+s's
+  /// transport serving receiver r.
+  std::vector<std::unique_ptr<transport::SenderHost>> sender_ports_;
   /// One open-loop engine per receiver (index == receiver); empty
   /// unless cfg_.workload is enabled.
   std::vector<std::unique_ptr<workload::WorkloadEngine>> workload_engines_;

@@ -14,8 +14,8 @@
 #include "mem/ddio.h"
 #include "mem/dram.h"
 #include "mem/stream_antagonist.h"
-#include "net/fabric.h"
 #include "net/packet.h"
+#include "net/topology.h"
 #include "nic/nic.h"
 #include "pcie/params.h"
 #include "trace/trace.h"
@@ -69,7 +69,7 @@ struct ExperimentConfig {
   nic::NicParams nic;
   mem::DramParams dram;
   mem::AntagonistParams antagonist;
-  net::FabricParams fabric;   // num_senders is overridden
+  net::FabricParams fabric;
   net::WireFormat wire;
   host::RxThreadParams thread;
   double copy_read_fraction = 0.29;

@@ -1,6 +1,7 @@
-// Experiment: assembles the full system (memory, IOMMU, PCIe, NIC,
-// receiver threads, fabric, sender hosts, congestion control), runs
-// warmup + a measurement window, and harvests Metrics.
+// Experiment: the paper's single-host testbed -- N senders reading from
+// one receiver (memory, IOMMU, PCIe, NIC, receiver threads) through one
+// ToR switch, with congestion control on every flow. It runs warmup + a
+// measurement window and harvests Metrics.
 //
 // This is the primary public entry point of the library:
 //
@@ -10,23 +11,20 @@
 //   hicc::Experiment exp(cfg);
 //   const hicc::Metrics m = exp.run();
 //
+// The testbed is the one-leaf cluster: Experiment owns
+// ClusterExperiment(degenerate_cluster(cfg)) on the serial path and
+// forwards to it, so the single-host and cluster runs share one wiring.
 #pragma once
 
-#include <memory>
-#include <vector>
-
-#include "common/rng.h"
+#include "core/cluster.h"
 #include "core/config.h"
-#include "core/host_factory.h"
 #include "core/metrics.h"
 #include "fault/engine.h"
 #include "host/receiver_host.h"
 #include "mem/memory_system.h"
 #include "mem/stream_antagonist.h"
-#include "net/fabric.h"
 #include "sim/simulator.h"
 #include "trace/trace.h"
-#include "transport/sender_host.h"
 
 namespace hicc {
 
@@ -38,7 +36,6 @@ class Experiment {
 
   Experiment(const Experiment&) = delete;
   Experiment& operator=(const Experiment&) = delete;
-  ~Experiment();
 
   /// Runs warmup + measurement and returns the window's metrics.
   Metrics run();
@@ -55,44 +52,28 @@ class Experiment {
   /// Resets all measurement windows at the current instant.
   void begin_window();
 
-  [[nodiscard]] sim::Simulator& simulator() { return sim_; }
+  [[nodiscard]] sim::Simulator& simulator() { return cluster_.simulator(); }
   /// The experiment's tracer; null unless config().trace.enabled. Used
   /// to attach a TraceSink (CSV / Chrome JSON) before start() and to
   /// finish() the capture while the experiment is still alive.
-  [[nodiscard]] trace::Tracer* tracer() { return tracer_.get(); }
-  [[nodiscard]] mem::MemorySystem& memory() { return *mem_; }
-  [[nodiscard]] mem::MemorySystem& remote_memory() { return *remote_mem_; }
-  [[nodiscard]] host::ReceiverHost& receiver() { return *receiver_; }
-  [[nodiscard]] mem::StreamAntagonist& antagonist() { return *antagonist_; }
+  [[nodiscard]] trace::Tracer* tracer() { return cluster_.tracer(); }
+  [[nodiscard]] mem::MemorySystem& memory() { return *cluster_.receiver_host(0).mem; }
+  /// The other NUMA node's memory system.
+  [[nodiscard]] mem::MemorySystem& remote_memory() {
+    return *cluster_.receiver_host(0).remote_mem;
+  }
+  [[nodiscard]] host::ReceiverHost& receiver() { return cluster_.receiver(0); }
+  [[nodiscard]] mem::StreamAntagonist& antagonist() {
+    return *cluster_.receiver_host(0).antagonist;
+  }
   /// The fault engine; null unless config().faults is non-empty.
-  [[nodiscard]] fault::FaultEngine* fault_engine() { return fault_engine_.get(); }
+  [[nodiscard]] fault::FaultEngine* fault_engine() { return cluster_.fault_engine(); }
+  /// The configuration as passed to the constructor.
   [[nodiscard]] const ExperimentConfig& config() const { return cfg_; }
 
  private:
-  [[nodiscard]] std::unique_ptr<transport::CongestionControl> make_cc();
-  /// Harvest sources for the shared per-host window math
-  /// (core/host_factory.h); fabric_drops is supplied by the caller.
-  [[nodiscard]] HostHarvestSources harvest_sources() const;
-
   ExperimentConfig cfg_;
-  Rng rng_;
-  sim::Simulator sim_;
-  /// Declared before the components so probe-registering constructors
-  /// can take it, and so it outlives them (poll lambdas capture
-  /// component pointers; the tracer only calls them while sampling).
-  std::unique_ptr<trace::Tracer> tracer_;
-  std::unique_ptr<mem::MemorySystem> mem_;         // NIC-local NUMA node
-  std::unique_ptr<mem::MemorySystem> remote_mem_;  // the other NUMA node
-  std::unique_ptr<mem::StreamAntagonist> antagonist_;
-  std::unique_ptr<host::ReceiverHost> receiver_;
-  std::unique_ptr<net::Fabric> fabric_;
-  std::vector<std::unique_ptr<transport::SenderHost>> senders_;
-  /// Built last (and forks rng_ last) so runs whose script never fires
-  /// stay event-identical to engine-less runs; null when no script.
-  std::unique_ptr<fault::FaultEngine> fault_engine_;
-  HostCounterSnapshot window_start_;
-  TimePs window_start_time_{};
-  bool started_ = false;
+  ClusterExperiment cluster_;
 };
 
 }  // namespace hicc

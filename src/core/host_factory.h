@@ -1,15 +1,12 @@
 // Reusable construction and harvesting of one full host.
 //
-// Experiment historically built its single receiver's stack (NUMA
-// memory pair, STREAM antagonist, NIC/PCIe/IOMMU/rx-threads) inline;
-// ClusterExperiment needs the same stack once per host. HostFactory
-// extracts that construction -- including the exact RNG fork order the
-// bitwise-determinism contract pins (mem, remote mem, receiver) -- and
-// the harvest functions extract the window math that turns two counter
-// snapshots into one host's Metrics. Both entry points share these, so
-// a degenerate one-leaf cluster reproduces the legacy Experiment
-// metrics through literally the same code path
-// (tests/cluster_test.cpp pins the result bitwise).
+// ClusterExperiment builds one full stack (NUMA memory pair, STREAM
+// antagonist, NIC/PCIe/IOMMU/rx-threads) per receiver, and per sender
+// machine when asked. HostFactory holds that construction -- including
+// the exact RNG fork order the bitwise-determinism contract pins (mem,
+// remote mem, receiver) -- and the harvest functions hold the window
+// math that turns two counter snapshots into one host's Metrics. The
+// benchmark's layer drivers build their hosts through the same factory.
 #pragma once
 
 #include <cstdint>
@@ -102,7 +99,7 @@ struct HostHarvestSources {
 };
 
 /// Builds one flow's congestion controller per the config's cc
-/// algorithm selection (shared by Experiment and ClusterExperiment).
+/// algorithm selection.
 [[nodiscard]] std::unique_ptr<transport::CongestionControl> make_congestion_control(
     sim::Simulator& sim, const ExperimentConfig& cfg, trace::Tracer* tracer);
 
@@ -111,15 +108,14 @@ struct HostHarvestSources {
 /// status aggregation.
 [[nodiscard]] RunStatus to_run_status(sim::AbortCause cause);
 
-/// Reads the current cumulative counters. `fabric_drops` is passed in
-/// because its scope differs by caller: the whole fabric for the
-/// legacy Experiment, the host's own ports for a cluster receiver.
+/// Reads the current cumulative counters; `fabric_drops` is the
+/// fabric's count for this host (ClusterExperiment: its own ports).
 [[nodiscard]] HostCounterSnapshot snapshot_host_counters(const HostHarvestSources& src,
                                                          std::int64_t fabric_drops);
 
 /// Computes the window's Metrics from the start snapshot and the
 /// current component state -- the single implementation of the
-/// paper-figure math shared by Experiment and ClusterExperiment.
+/// paper-figure math.
 [[nodiscard]] Metrics harvest_host_window(const HostHarvestSources& src,
                                           const HostCounterSnapshot& window_start,
                                           TimePs window_start_time,

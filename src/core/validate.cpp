@@ -42,7 +42,7 @@ const std::set<std::string>& known_params(fault::FaultKind kind, bool clos_targe
   static const std::set<std::string> net_rate{"link", "gbps"};
   static const std::set<std::string> net_loss{"link", "prob"};
   // Cluster scripts target topology links by coordinates, not by the
-  // legacy sender-uplink index.
+  // single-host sender-uplink index.
   static const std::set<std::string> clos_link{"leaf", "spine", "host"};
   static const std::set<std::string> clos_rate{"leaf", "spine", "host", "gbps"};
   static const std::set<std::string> clos_loss{"leaf", "spine", "host", "prob"};
@@ -78,8 +78,9 @@ const std::set<std::string>& known_params(fault::FaultKind kind, bool clos_targe
   return none;
 }
 
-/// `topo` selects net.* targeting: null validates the legacy `link=`
-/// index, non-null the cluster's `leaf=`+`spine=` / `host=` coordinates.
+/// `topo` selects net.* targeting: null validates the single-host
+/// `link=` index, non-null the cluster's `leaf=`+`spine=` / `host=`
+/// coordinates.
 void validate_fault_event(const ExperimentConfig& cfg, const fault::FaultEvent& e,
                           const std::string& where, Checker& c,
                           const net::TopologyConfig* topo = nullptr) {
@@ -326,7 +327,7 @@ std::vector<ConfigViolation> validate(const ClusterConfig& cfg) {
   // injectors are incompatible (they mutate cross-partition link/host
   // state mid-window from the fabric partition).
   c.require(cfg.parallelism >= 0, "parallelism",
-            "parallelism must be >= 0 (0 = legacy single-simulator run)");
+            "parallelism must be >= 0 (0 = serial single-simulator run)");
   if (cfg.parallelism >= 1) {
     c.require(topo.edge_propagation > TimePs(0), "topology.edge_propagation",
               "parallel runs need edge_propagation > 0: it is the engine's "
@@ -373,7 +374,7 @@ std::vector<ConfigViolation> validate(const ClusterConfig& cfg) {
   }
 
   // The per-host template, as ClusterExperiment will actually run it:
-  // num_senders overridden by the topology, the legacy fault script
+  // num_senders overridden by the topology, the per-host fault script
   // ignored in favor of cfg.faults.
   ExperimentConfig host = cfg.host;
   host.num_senders = std::max(1, topo.num_hosts() - cfg.receivers);

@@ -35,7 +35,7 @@ struct ConfigViolation {
 /// Cluster variant (core/cluster.h): checks the topology shape, the
 /// effective per-host config (violations prefixed "host."), and the
 /// cluster fault script -- whose net.* events target topology links by
-/// `leaf=`+`spine=` or `host=` rather than the legacy `link=` index.
+/// `leaf=`+`spine=` or `host=` rather than the single-host `link=` index.
 [[nodiscard]] std::vector<ConfigViolation> validate(const ClusterConfig& cfg);
 
 /// Supervisor variant (sweep/supervisor.h): checks the per-point

@@ -4,16 +4,14 @@
 #include <string>
 #include <utility>
 
-// The next four headers never have their type names spelled here --
-// the fault engine reaches ReceiverHost / StreamAntagonist / Fabric /
-// ClosFabric only through FaultTargets pointers -- but dereferencing
-// those pointers needs the complete types.
+// The next three headers never have their type names spelled here --
+// the fault engine reaches ReceiverHost / StreamAntagonist / ClosFabric
+// only through FaultTargets pointers -- but dereferencing those
+// pointers needs the complete types.
 // hicc-lint: allow(ana-include-unused) -- complete type for FaultTargets::hosts[i]->
 #include "host/receiver_host.h"
 // hicc-lint: allow(ana-include-unused) -- complete type for FaultTargets::antagonist->
 #include "mem/stream_antagonist.h"
-// hicc-lint: allow(ana-include-unused) -- complete type for FaultTargets::fabric->
-#include "net/fabric.h"
 #include "net/link.h"
 // hicc-lint: allow(ana-include-unused) -- complete type for FaultTargets::clos->
 #include "net/topology.h"
@@ -79,28 +77,22 @@ int FaultEngine::active_of_kind(FaultKind kind) const {
 }
 
 net::QueuedLink* FaultEngine::link_of(const FaultEvent& e) const {
-  if (targets_.clos != nullptr) {
-    const auto& topo = targets_.clos->config();
-    const int leaf = static_cast<int>(param(e, "leaf", -1.0));
-    const int spine = static_cast<int>(param(e, "spine", -1.0));
-    if (leaf >= 0 && spine >= 0) {
-      if (leaf >= topo.leaves || spine >= topo.spines) return nullptr;
-      return &targets_.clos->leaf_uplink(leaf, spine);
-    }
-    const int host = static_cast<int>(param(e, "host", -1.0));
-    if (host >= 0) {
-      if (host >= topo.num_hosts()) return nullptr;
-      return &targets_.clos->host_uplink(host);
-    }
-    // Default: the hot port of the incast -- receiver 0's downlink,
-    // the access-link analog of the legacy fabric.
-    return &targets_.clos->host_downlink(0);
+  if (targets_.clos == nullptr) return nullptr;
+  const auto& topo = targets_.clos->config();
+  const int leaf = static_cast<int>(param(e, "leaf", -1.0));
+  const int spine = static_cast<int>(param(e, "spine", -1.0));
+  if (leaf >= 0 && spine >= 0) {
+    if (leaf >= topo.leaves || spine >= topo.spines) return nullptr;
+    return &targets_.clos->leaf_uplink(leaf, spine);
   }
-  if (targets_.fabric == nullptr) return nullptr;
-  const int link = static_cast<int>(param(e, "link", -1.0));
-  if (link < 0) return &targets_.fabric->access_link();
-  if (link >= targets_.fabric->num_uplinks()) return nullptr;
-  return &targets_.fabric->uplink(link);
+  const int host = static_cast<int>(param(e, "host", -1.0));
+  if (host >= 0) {
+    if (host >= topo.num_hosts()) return nullptr;
+    return &targets_.clos->host_uplink(host);
+  }
+  // Default: the hot port of the incast -- receiver 0's downlink (the
+  // single-host testbed's access link).
+  return &targets_.clos->host_downlink(0);
 }
 
 void FaultEngine::activate(std::size_t idx) {

@@ -2,8 +2,8 @@
 // device models of one experiment.
 //
 // The engine is constructed after the rest of the system is wired (it
-// is the last component the Experiment builds, and forks the
-// experiment RNG last) so that a run whose script never fires is
+// is the last component ClusterExperiment builds, and forks the run's
+// RNG last) so that a run whose script never fires is
 // event-for-event identical to a run without any engine at all --
 // tests/fault_test.cpp pins this down bitwise. All injection happens
 // through small mutator hooks on the device models (QueuedLink,
@@ -29,7 +29,6 @@
 
 namespace hicc::net {
 class ClosFabric;
-class Fabric;
 class QueuedLink;
 }  // namespace hicc::net
 namespace hicc::host {
@@ -46,10 +45,9 @@ namespace hicc::fault {
 /// disable the injectors that need them (validation catches scripts
 /// that would hit a null target before a run starts).
 struct FaultTargets {
-  net::Fabric* fabric = nullptr;
-  /// Clos topology runs set this instead of `fabric`; net.* events may
-  /// then target a leaf-spine link (`leaf=`+`spine=`) or a host uplink
-  /// (`host=`), defaulting to receiver 0's downlink port.
+  /// net.* events target a leaf-spine link (`leaf=`+`spine=`) or a host
+  /// uplink (`host=`), defaulting to receiver 0's downlink port.
+  /// Single-host scripts say `link=`; degenerate_cluster() rewrites it.
   net::ClosFabric* clos = nullptr;
   host::ReceiverHost* receiver = nullptr;
   mem::StreamAntagonist* antagonist = nullptr;

@@ -1,7 +1,9 @@
-// Config-driven Clos leaf/spine fabric generalizing the single-ToR
-// Fabric: `leaves` leaf switches, `spines` spine switches, and
-// `hosts_per_leaf` hosts per leaf, every port modeled as a QueuedLink
-// (serialization + propagation + byte-bounded tail-drop FIFO).
+// Config-driven Clos leaf/spine fabric: `leaves` leaf switches,
+// `spines` spine switches, and `hosts_per_leaf` hosts per leaf, every
+// port modeled as a QueuedLink (serialization + propagation +
+// byte-bounded tail-drop FIFO). The paper's testbed -- N senders and
+// one receiver under one ToR -- is the one-leaf case
+// (hicc::degenerate_cluster(), src/core/cluster.h).
 //
 //   host --uplink--> [leaf] --leaf_uplink--> [spine]
 //                      |                        |
@@ -13,14 +15,13 @@
 // The spine is chosen by stateless ECMP: a splitmix64 hash of
 // (ecmp_seed, flow, sender, dst), so every packet of a flow takes the
 // same path and two runs with equal seeds make identical choices --
-// the fabric draws no RNG stream and schedules no events of its own,
-// which is what lets a one-leaf config reproduce the legacy Fabric
-// bitwise (tests/cluster_test.cpp).
+// the fabric draws no RNG stream and schedules no events of its own.
 //
-// Like the legacy fabric, the Clos is deliberately uncongested in the
-// paper's experiments: per-port drop counts (plus an O(1) running
-// total) let experiments verify the "all drops are host drops" claim
-// per receiver even with thousands of ports.
+// The fabric is deliberately uncongested in the paper's experiments
+// (all drops are at the receiver host): per-port drop counts (plus an
+// O(1) running total) let experiments verify the "all drops are host
+// drops" claim (Fig 1 footnote) per receiver even with thousands of
+// ports.
 #pragma once
 
 #include <cstdint>
@@ -60,6 +61,18 @@ struct TopologyConfig {
 
   [[nodiscard]] constexpr int num_hosts() const { return leaves * hosts_per_leaf; }
   [[nodiscard]] constexpr int leaf_of(int host) const { return host / hosts_per_leaf; }
+};
+
+/// The single-ToR testbed network of a single-host experiment
+/// (ExperimentConfig::fabric). degenerate_cluster() builds it as a
+/// one-leaf TopologyConfig: every packet crosses two edge hops, host
+/// uplink then destination downlink.
+struct FabricParams {
+  BitRate link_rate = BitRate::gbps(100);
+  /// One-way propagation of each host-to-ToR hop.
+  TimePs edge_propagation = TimePs::from_us(2);
+  /// Per-port switch buffering.
+  Bytes switch_buffer = Bytes::mib(8);
 };
 
 /// The Clos fabric. Hosts are numbered 0..num_hosts()-1, filled leaf

@@ -17,6 +17,7 @@
 
 #include "common/fmt.h"
 #include "common/rng.h"
+#include "core/cluster.h"
 #include "core/experiment.h"
 #include "core/validate.h"
 #include "trace/trace.h"
@@ -276,6 +277,40 @@ void harvest_trace_probes(trace::Tracer* tracer, SweepResult& r) {
     // .p50/.p99/.count entries carry the distribution itself.
     r.extra["trace." + probes[i].name] = tracer->value_at(i);
   }
+}
+
+namespace {
+
+/// True when `key` is a per-host probe harvest ("trace.host<h>.name").
+bool host_scoped_probe(const std::string& key) {
+  const std::string prefix = "trace.host";
+  if (key.rfind(prefix, 0) != 0) return false;
+  std::size_t i = prefix.size();
+  while (i < key.size() && key[i] >= '0' && key[i] <= '9') ++i;
+  return i > prefix.size() && i < key.size() && key[i] == '.';
+}
+
+}  // namespace
+
+std::vector<SweepResult> cluster_points(ClusterExperiment& exp, const ClusterMetrics& cm,
+                                        std::size_t first_index, const SweepResult* probes) {
+  std::vector<SweepResult> points(static_cast<std::size_t>(exp.num_receivers()));
+  for (int r = 0; r < exp.num_receivers(); ++r) {
+    SweepResult& p = points[static_cast<std::size_t>(r)];
+    p.index = first_index + static_cast<std::size_t>(r);
+    p.config = exp.config().host;
+    p.metrics = cm.per_receiver[static_cast<std::size_t>(r)];
+    p.extra["host"] = r;
+    p.extra["cluster.port_drops"] = static_cast<double>(exp.fabric().host_port_drops(r));
+    p.extra["cluster.port_queue_bytes"] =
+        static_cast<double>(exp.fabric().host_queue(r).count());
+    if (probes == nullptr) continue;
+    const std::string own = "trace." + exp.probe_prefix(r);
+    for (const auto& [key, value] : probes->extra) {
+      if (!host_scoped_probe(key) || key.rfind(own, 0) == 0) p.extra[key] = value;
+    }
+  }
+  return points;
 }
 
 void write_point(std::ostream& os, const SweepResult& r) {

@@ -36,7 +36,9 @@
 #include "core/metrics.h"
 
 namespace hicc {
+class ClusterExperiment;
 class Experiment;
+struct ClusterMetrics;
 namespace trace {
 class Tracer;
 }
@@ -116,6 +118,19 @@ void harvest_trace(Experiment& exp, SweepResult& r);
 /// `tracer` into `r.extra` as `trace.<probe-name>`. No-op on nullptr.
 /// (Distinct name so `probe = harvest_trace` stays unambiguous.)
 void harvest_trace_probes(trace::Tracer* tracer, SweepResult& r);
+
+/// The hicc.sweep.v1 record of a finished cluster run (what
+/// `hicc_cli --topology` and the point worker emit): one point per
+/// receiver r, indexed first_index + r, with the effective per-host
+/// config, receiver r's Metrics, and extras carrying the host index and
+/// its fabric-port state. `probes`, when non-null, holds a
+/// harvest_trace_probes() of the run's tracer; point r gets the
+/// run-global probes plus its own host's -- those under
+/// exp.probe_prefix(r) -- and no other host's.
+[[nodiscard]] std::vector<SweepResult> cluster_points(ClusterExperiment& exp,
+                                                      const ClusterMetrics& cm,
+                                                      std::size_t first_index,
+                                                      const SweepResult* probes = nullptr);
 
 /// Writes one point's JSON object element exactly as write_json emits
 /// it inside the "points" array (4-space object indent, no leading

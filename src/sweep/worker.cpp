@@ -398,18 +398,7 @@ int run_point_worker(std::istream& in, std::ostream& out, std::ostream& err) {
       }
       ClusterExperiment exp(std::move(cfg));
       const ClusterMetrics cm = exp.run();
-      points.resize(static_cast<std::size_t>(exp.num_receivers()));
-      for (int r = 0; r < exp.num_receivers(); ++r) {
-        SweepResult& p = points[static_cast<std::size_t>(r)];
-        p.index = spec.index + static_cast<std::size_t>(r);
-        p.config = exp.config().host;
-        p.metrics = cm.per_receiver[static_cast<std::size_t>(r)];
-        p.extra["host"] = r;
-        p.extra["cluster.port_drops"] =
-            static_cast<double>(exp.fabric().host_port_drops(r));
-        p.extra["cluster.port_queue_bytes"] =
-            static_cast<double>(exp.fabric().host_queue(r).count());
-      }
+      points = cluster_points(exp, cm, spec.index);
     } else {
       ExperimentConfig& cfg = spec.host;
       if (const auto violations = validate(cfg); !violations.empty()) {

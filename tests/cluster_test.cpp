@@ -1,9 +1,11 @@
-// ClusterExperiment: the degenerate one-leaf mapping reproducing the
-// legacy Experiment bitwise, cluster determinism under equal seeds,
-// many-to-many traffic, cluster config validation, and the per-host
-// probe prefixing of traced cluster runs.
+// ClusterExperiment: exact pinned Metrics of the single-host
+// experiment (the one-leaf cluster), the one-leaf mapping itself,
+// cluster determinism under equal seeds, many-to-many traffic, cluster
+// config validation, and the per-host probe prefixing of traced
+// cluster runs.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <string>
 
@@ -81,11 +83,12 @@ void expect_bitwise_identical(const Metrics& a, const Metrics& b) {
 
 // ------------------------------------------------------ pinned values
 
-// Exact Metrics of three single-host runs, captured from the
-// Experiment that wired net::Fabric itself (before it became the
-// one-leaf cluster). Zero fields are left at their defaults. The
-// faulted runs pin the `link=` fault key: a sender uplink (whose drops
-// only the whole-fabric count sees) and the access link.
+// Exact Metrics of three single-host runs, captured when Experiment
+// still wired its own single-ToR fabric; the one-leaf cluster it runs
+// now must reproduce them bit for bit. Zero fields are left at their
+// defaults. The faulted runs pin the `link=` fault key: a sender
+// uplink (whose drops only the whole-fabric count sees) and the access
+// link.
 
 Metrics pinned_fault_free() {
   Metrics m;
@@ -175,28 +178,7 @@ TEST(SingleHostPinned, AccessRateDowngradeReproducesPinnedMetrics) {
   expect_bitwise_identical(exp.run(), pinned_access_rate_downgrade());
 }
 
-// ------------------------------------------------------------ parity
-
-// The PR contract: a one-leaf Clos with transport-only senders IS the
-// legacy single-receiver experiment -- same RNG fork order, same link
-// sequence, same harvest math -- so every Metrics field, including the
-// global executed-event count, reproduces bit for bit.
-TEST(ClusterParity, DegenerateClosReproducesLegacyMetricsBitwise) {
-  Experiment legacy(small_config());
-  const Metrics lm = legacy.run();
-
-  const ClusterConfig cc = degenerate_cluster(small_config());
-  ASSERT_TRUE(validate(cc).empty()) << describe(validate(cc));
-  ClusterExperiment cluster(cc);
-  const ClusterMetrics cm = cluster.run();
-
-  ASSERT_EQ(cm.per_receiver.size(), 1u);
-  expect_bitwise_identical(lm, cm.per_receiver[0]);
-  EXPECT_EQ(cm.run_status, RunStatus::kOk);
-  EXPECT_EQ(cm.total_nic_buffer_drops, lm.nic_buffer_drops);
-  EXPECT_EQ(cm.total_data_packets_sent, lm.data_packets_sent);
-  EXPECT_EQ(cm.total_fabric_drops, lm.fabric_drops);
-}
+// ------------------------------------------------------------ mapping
 
 TEST(ClusterParity, DegenerateMappingPreservesShape) {
   const ClusterConfig cc = degenerate_cluster(small_config());
@@ -205,6 +187,21 @@ TEST(ClusterParity, DegenerateMappingPreservesShape) {
   EXPECT_EQ(cc.topology.num_hosts(), small_config().num_senders + 1);
   EXPECT_EQ(cc.receivers, 1);
   EXPECT_FALSE(cc.full_sender_hosts);
+}
+
+TEST(ClusterParity, DegenerateMappingRewritesLinkFaultKeys) {
+  const ClusterConfig cc = degenerate_cluster(
+      with_faults("net.loss@1ms,link=1,prob=0.2;net.rate@1ms,link=access,gbps=25;"
+                  "mem.antagonist@1ms,cores=4"));
+  EXPECT_TRUE(cc.host.faults.empty());
+  ASSERT_EQ(cc.faults.events.size(), 3u);
+  // Sender 1's uplink is host 2's; the access link is the default
+  // target, receiver 0's downlink.
+  using Params = std::map<std::string, double>;
+  EXPECT_EQ(cc.faults.events[0].params, (Params{{"host", 2.0}, {"prob", 0.2}}));
+  EXPECT_EQ(cc.faults.events[1].params, (Params{{"gbps", 25.0}}));
+  EXPECT_EQ(cc.faults.events[2].params, (Params{{"cores", 4.0}}));
+  EXPECT_TRUE(validate(cc).empty()) << describe(validate(cc));
 }
 
 // ----------------------------------------------------- determinism
@@ -290,7 +287,7 @@ TEST(ClusterValidation, AggregatesTopologyHostAndFaultViolations) {
   bad.topology.host_link_rate = BitRate::gbps(0);  // dead edge links
   bad.receivers = 99;                            // more receivers than hosts
   bad.host.rx_threads = 0;                       // per-host template
-  bad.faults = fault::parse_script("net.link_down@1ms,link=2").script;  // legacy key
+  bad.faults = fault::parse_script("net.link_down@1ms,link=2").script;  // single-host key
 
   const auto violations = validate(bad);
   std::set<std::string> fields;
@@ -299,8 +296,8 @@ TEST(ClusterValidation, AggregatesTopologyHostAndFaultViolations) {
   EXPECT_TRUE(fields.count("topology.host_link_rate"));
   EXPECT_TRUE(fields.count("receivers"));
   EXPECT_TRUE(fields.count("host.rx_threads"));
-  // Cluster scripts address links by topology coordinates; the legacy
-  // `link=` index is rejected as unknown.
+  // Cluster scripts address links by topology coordinates; the
+  // single-host `link=` index is rejected as unknown.
   EXPECT_TRUE(fields.count("faults[0].link"));
 }
 

@@ -389,8 +389,8 @@ TEST(FaultCluster, HostParamTargetsAnEdgeUplinkAndDefaultIsTheReceiverDownlink) 
   EXPECT_EQ(up.fabric().host_downlink(0).drops(), 0);
   EXPECT_EQ(mu.run_status, RunStatus::kOk);
 
-  // No target parameter: the receiver's downlink (the access-link
-  // analog, matching the legacy fabric's default).
+  // No target parameter: the receiver's downlink (the single-host
+  // testbed's access link, what `link=access` names).
   cfg.faults = parse_script("net.link_down@250us+100us").script;
   ASSERT_TRUE(validate(cfg).empty());
   ClusterExperiment down(cfg);
