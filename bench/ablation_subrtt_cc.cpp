@@ -16,17 +16,6 @@
 
 using namespace hicc;
 
-namespace {
-const char* cc_name(transport::CcAlgorithm cc) {
-  switch (cc) {
-    case transport::CcAlgorithm::kSwift: return "swift";
-    case transport::CcAlgorithm::kTcpLike: return "tcp-like";
-    case transport::CcAlgorithm::kHostSignal: return "swift+host-signal";
-  }
-  return "?";
-}
-}  // namespace
-
 int main() {
   bench::header(
       "Ablation A5", "congestion-control comparison under host congestion "
@@ -63,8 +52,14 @@ int main() {
   for (std::size_t i = 0; i < results.size(); ++i) {
     const bool memory_case = i >= std::size(algos);
     const Metrics& m = results[i].metrics;
+    // The host-signal variant is Swift plus the signal response; label
+    // it as its controller does (SwiftCc::name()).
+    const transport::CcAlgorithm cc = results[i].config.cc;
+    const std::string protocol = cc == transport::CcAlgorithm::kHostSignal
+                                     ? "swift+host-signal"
+                                     : transport::to_string(cc);
     t.add_row({std::string(memory_case ? "membus(15 antagonists)" : "iommu(14 cores)"),
-               std::string(cc_name(results[i].config.cc)), m.app_throughput_gbps,
+               protocol, m.app_throughput_gbps,
                m.drop_rate * 100.0, m.retransmits, m.host_delay_p50_us,
                m.host_delay_p99_us});
   }

@@ -41,6 +41,7 @@
 #include "common/table.h"
 #include "core/cluster.h"
 #include "core/experiment.h"
+#include "core/fields.h"
 #include "core/validate.h"
 #include "fault/script.h"
 #include "sweep/columnar.h"
@@ -66,27 +67,28 @@ volatile std::sig_atomic_t g_stop = 0;
 
 void handle_stop(int) { g_stop = 1; }
 
-/// A malformed or unused flag; main() prints it and exits kExitUsage.
-struct UsageError : std::runtime_error {
-  using std::runtime_error::runtime_error;
+/// A bad command line; main() prints it and exits with `code`.
+struct CliError : std::runtime_error {
+  CliError(int exit_code, const std::string& what)
+      : std::runtime_error(what), code(exit_code) {}
+  int code;
 };
 
 struct Flags {
   std::map<std::string, std::string> kv;
 
-  /// The whole value must be a number: "1x" is a UsageError, not 1.
   [[nodiscard]] double number(const std::string& key, double def) const {
     const std::string* value = find(key);
-    if (value == nullptr) return def;
+    return value == nullptr ? def : parse_number(key, *value);
+  }
+  /// The whole value must be a number: "1x" is a usage error, not 1.
+  [[nodiscard]] static double parse_number(const std::string& key, const std::string& value) {
     char* end = nullptr;
-    const double v = std::strtod(value->c_str(), &end);
-    if (value->empty() || *end != '\0') {
-      throw UsageError("bad --" + key + "=" + *value + " (want a number)");
+    const double v = std::strtod(value.c_str(), &end);
+    if (value.empty() || *end != '\0') {
+      throw CliError(kExitUsage, "bad --" + key + "=" + value + " (want a number)");
     }
     return v;
-  }
-  [[nodiscard]] bool flag(const std::string& key, bool def) const {
-    return number(key, def ? 1 : 0) != 0;
   }
   [[nodiscard]] std::string str(const std::string& key, const std::string& def) const {
     const std::string* value = find(key);
@@ -98,107 +100,78 @@ struct Flags {
   /// defaults instead would hide that.
   void reject_unread() const {
     for (const auto& [key, value] : kv) {
-      if (read_.count(key) == 0) throw UsageError("unknown or unused flag --" + key);
+      if (read_.count(key) == 0) throw CliError(kExitUsage, "unknown or unused flag --" + key);
     }
   }
 
- private:
+  /// The value of --key, or nullptr when it is absent. Either way the
+  /// key counts as read.
   [[nodiscard]] const std::string* find(const std::string& key) const {
     read_.insert(key);
     const auto it = kv.find(key);
     return it == kv.end() ? nullptr : &it->second;
   }
 
+ private:
   /// Keys the chosen code path asked for.
   mutable std::set<std::string> read_;
 };
 
+/// Table visitor (core/fields.h) that sets each field whose flag is on
+/// the command line, in the flag's unit. A malformed number is a usage
+/// error (exit 1), an unknown enum value, topology or profile an
+/// invalid config (2), and a bad fault script exit 3.
+struct SetFromFlags {
+  const Flags& flags;
+  /// A field the current mode does not read, so its flag stays unread.
+  const void* skip = nullptr;
+
+  template <typename T>
+  void operator()(const hicc::fields::Field& f, T& value) const {
+    if (f.flag.name == nullptr || &value == skip) return;
+    const std::string* text = flags.find(f.flag.name);
+    if (text == nullptr) return;
+    if constexpr (hicc::fields::kNumeric<T>) {
+      hicc::fields::from_number(Flags::parse_number(f.flag.name, *text), f.flag.unit, &value);
+    } else if (const std::string error = hicc::fields::from_text(*text, &value);
+               !error.empty()) {
+      throw CliError(std::is_same_v<T, hicc::fault::FaultScript> ? kExitFaultParse
+                                                                  : kExitConfigInvalid,
+                     "bad --" + std::string(f.flag.name) + "=" + *text + ": " + error);
+    }
+  }
+};
+
 void usage() {
+  std::puts("hicc_cli -- host interconnect congestion simulator\n");
+  // The config flags (core/fields.h), grouped by section.
+  using hicc::fields::kSectionHeadings;
+  constexpr std::size_t kHelpColumn = 21;
+  std::vector<std::string> lines[std::size(kSectionHeadings)];
+  const auto add = [&lines](const hicc::fields::Field& f, const auto&) {
+    if (f.flag.name == nullptr) return;
+    std::string text = "  --" + std::string(f.flag.name) + "=" + f.flag.arg;
+    text.append(text.size() < kHelpColumn ? kHelpColumn - text.size() : 2, ' ');
+    for (const char* c = f.flag.help; *c != '\0'; ++c) {
+      text += *c;
+      if (*c == '\n') text.append(kHelpColumn, ' ');
+    }
+    lines[f.flag.section].push_back(std::move(text));
+  };
+  const hicc::ClusterConfig defaults;
+  hicc::fields::visit_host(defaults.host, add);
+  hicc::fields::visit_cluster(defaults, add);
+  for (std::size_t s = 0; s < std::size(kSectionHeadings); ++s) {
+    std::printf("%s:\n", kSectionHeadings[s]);
+    for (const std::string& line : lines[s]) std::printf("%s\n", line.c_str());
+  }
   std::puts(
-      "hicc_cli -- host interconnect congestion simulator\n"
-      "\n"
-      "workload:\n"
-      "  --threads=N        receiver cores (default 12)\n"
-      "  --senders=N        sender machines (default 40)\n"
-      "  --read-kb=N        RPC read size in KB (default 16)\n"
-      "  --pipeline=N       outstanding reads per flow (default 1)\n"
-      "  --victims=N        latency-sensitive victim flows (default 0)\n"
-      "receiver host:\n"
-      "  --iommu=0|1        memory protection (default 1)\n"
-      "  --hugepages=0|1    2M vs 4K data mappings (default 1)\n"
-      "  --region-mb=N      Rx region per thread (default 12)\n"
-      "  --iotlb=N          IOTLB entries (default 128)\n"
-      "  --nic-buffer-kb=N  NIC input SRAM (default 1024)\n"
-      "  --ats=0|1          device-side translation (default 0)\n"
-      "  --strict=0|1       strict IOMMU invalidation (default 0)\n"
-      "  --ddio=0|1         direct cache access (default 1)\n"
-      "memory bus:\n"
-      "  --antagonists=N    STREAM cores, 0-15 (default 0)\n"
-      "  --remote-numa=0|1  antagonist on the other node (default 0)\n"
-      "  --mba-gbs=X        antagonist bandwidth cap, GB/s (default off)\n"
-      "protocol:\n"
-      "  --cc=swift|tcp|host-signal   (default swift)\n"
-      "  --host-target-us=N           Swift host target (default 100)\n"
-      "topology (docs/TOPOLOGY.md):\n"
-      "  --topology=LxSxH   run a Clos cluster instead of the single-host\n"
-      "                     experiment: L leaves x S spines x H total hosts\n"
-      "                     (H divides evenly across the leaves), e.g. 2x2x8.\n"
-      "                     --senders is ignored; sender machines are the\n"
-      "                     hosts that are not receivers. With --json, the\n"
-      "                     record carries one hicc.sweep.v1 point per\n"
-      "                     receiver host\n"
-      "  --receivers=N      hosts 0..N-1 run full receiver stacks; the rest\n"
-      "                     serve reads to every receiver (default 1)\n"
-      "  --ecmp-seed=N      stateless ECMP hash seed (default 1)\n"
-      "  --host-gbps=X      host-to-leaf link rate (default 100)\n"
-      "  --fabric-gbps=X    leaf-to-spine link rate (default 100)\n"
-      "  --full-hosts=0|1   build quiescent full host stacks on sender\n"
-      "                     machines (default 1)\n"
-      "  --antagonist-profile=A,B,...  per-receiver antagonist cores,\n"
-      "                     cycled across receivers (heterogeneous fleet);\n"
-      "                     overrides --antagonists on receiver hosts\n"
-      "  --parallel=N       run the cluster on the partitioned engine with\n"
-      "                     N threads (docs/PARALLELISM.md); 'auto' sizes\n"
-      "                     the pool like --jobs, 0 keeps the serial path\n"
-      "                     (default 0). Results are bitwise-identical for\n"
-      "                     every N >= 1\n"
-      "open-loop workload (docs/WORKLOADS.md; needs --topology):\n"
-      "  --workload=PATTERN run receivers open loop: flows arrive by a\n"
-      "                     random process and retire through a recyclable\n"
-      "                     flow pool instead of the closed-loop read\n"
-      "                     pipeline. PATTERN: off|incast|uniform|\n"
-      "                     allreduce_ring|allreduce_tree (default off)\n"
-      "  --wl-rate=R        mean arrivals per receiver per second (1e5)\n"
-      "  --wl-arrival=A     poisson|bursty inter-arrival process (poisson)\n"
-      "  --wl-burst-factor=X    bursty: on-state rate multiplier (8)\n"
-      "  --wl-burst-on=F        bursty: fraction of time on (0.2)\n"
-      "  --wl-burst-period-us=N bursty: mean on+off cycle length (500)\n"
-      "  --wl-size=D        fixed|websearch|hadoop flow sizes (fixed)\n"
-      "  --wl-size-kb=N     flow size for --wl-size=fixed, KB (16)\n"
-      "  --wl-fanout=N      incast fan-out width (8)\n"
-      "  --wl-max-active=N  flow-pool slots per receiver -- the hard bound\n"
-      "                     on active flows and workload memory (4096)\n"
-      "  --wl-target-flows=N  stop injecting after N flows cluster-wide\n"
-      "                     (0 = unbounded, the default)\n"
-      "  --wl-sketch-error=A  FCT/slowdown/host-delay quantile-sketch\n"
-      "                     relative error bound, in (0, 0.5) (0.01)\n"
-      "  --columnar-out=PATH  also write the per-receiver record in the\n"
-      "                     compact columnar hicc.sweepc.v1 form\n"
-      "faults (docs/FAULTS.md):\n"
-      "  --faults=SPEC      schedule mid-run disturbances. SPEC is a ';'-\n"
-      "                     separated list of kind@time[+dur][/period][,k=v...]\n"
-      "                     entries, e.g.\n"
-      "                       --faults='mem.antagonist@5ms+2ms,cores=15'\n"
-      "                       --faults='net.loss@1ms+500us/2ms,prob=0.05'\n"
-      "                     in --topology runs, net.* events accept\n"
-      "                     leaf=+spine= (a leaf-spine link) or host= (an\n"
-      "                     edge uplink) targeting\n"
-      "run control:\n"
-      "  --warmup-ms=N --measure-ms=N --seed=N\n"
-      "  --max-events=N     watchdog: abort the run after N simulator\n"
-      "                     events (0 = unlimited, the default)\n"
+      "output:\n"
       "  --timeline-us=N    print a metrics row every N us instead of a\n"
       "                     single summary\n"
+      "  --columnar-out=PATH  also write the per-receiver record in the\n"
+      "                     compact columnar hicc.sweepc.v1 form (needs\n"
+      "                     --topology)\n"
       "telemetry (docs/OBSERVABILITY.md):\n"
       "  --trace=PATH       capture a probe time series: .csv -> long-format\n"
       "                     CSV, anything else -> Chrome trace_event JSON\n"
@@ -206,7 +179,6 @@ void usage() {
       "                     $HICC_TRACE is the env equivalent. With --runs,\n"
       "                     end-of-run probe values land in the sweep JSON\n"
       "                     as extra.trace.* instead of per-replica files\n"
-      "  --trace-period-us=N  sampler tick in us (default 5)\n"
       "sweep (Monte-Carlo replicas):\n"
       "  --runs=N           run N replicas with per-replica seeds derived\n"
       "                     from --seed; prints each replica + mean/stddev\n"
@@ -238,7 +210,8 @@ void usage() {
       "                     write its hicc.sweep.v1 record to stdout\n"
       "exit codes:\n"
       "  0 ok; 1 usage/IO error (also a malformed number, or a flag the\n"
-      "  chosen mode never reads); 2 invalid configuration; 3 fault-script\n"
+      "  chosen mode never reads); 2 invalid configuration (also an unknown\n"
+      "  enum value or a bad --topology/--antagonist-profile); 3 fault-script\n"
       "  or spec parse error; 4 run finished degraded (run_status != ok);\n"
       "  5 supervisor gave up on >= 1 point; 6 interrupted (SIGINT/\n"
       "  SIGTERM; partial results + journal flushed); 127 worker exec\n"
@@ -285,113 +258,25 @@ void print_metrics(const hicc::Metrics& m) {
   }
 }
 
-int run_topology(const Flags& flags, hicc::ExperimentConfig host_cfg,
-                 const std::string& trace_path) {
-  const std::string spec = flags.str("topology", "");
-  int leaves = 0, spines = 0, hosts = 0;
-  char excess = '\0';
-  if (std::sscanf(spec.c_str(), "%dx%dx%d%c", &leaves, &spines, &hosts, &excess) != 3) {
-    std::fprintf(stderr, "bad --topology=%s (want LEAVESxSPINESxHOSTS, e.g. 2x2x8)\n",
-                 spec.c_str());
-    return kExitConfigInvalid;
-  }
-  if (leaves <= 0 || hosts <= 0 || hosts % leaves != 0) {
-    std::fprintf(stderr,
-                 "bad --topology=%s: total hosts (%d) must divide evenly across "
-                 "%d leaves\n",
-                 spec.c_str(), hosts, leaves);
-    return kExitConfigInvalid;
-  }
+int run_topology(const Flags& flags, hicc::ClusterConfig cfg, const std::string& trace_path) {
+  // Cluster scripts live at cluster scope, where topology targeting
+  // applies.
+  cfg.faults = std::move(cfg.host.faults);
+  cfg.host.faults = hicc::fault::FaultScript{};
+  // --parallel=auto sizes the pool like sweep --jobs ($HICC_JOBS, then
+  // hardware concurrency); the engine clamps to the partition count.
+  const bool auto_parallel = flags.str("parallel", "") == "auto";
+  hicc::fields::visit_cluster(cfg, SetFromFlags{flags, auto_parallel ? &cfg.parallelism : nullptr});
+  if (auto_parallel) cfg.parallelism = hicc::sweep::SweepRunner::resolve_jobs(0);
+  if (cfg.workload.enabled()) cfg.host.victim_flows = 0;
   if (flags.number("runs", 0) > 0 || flags.number("timeline-us", 0) > 0) {
     std::fprintf(stderr, "--topology is a single cluster run; drop --runs/--timeline-us\n");
     return kExitUsage;
   }
 
-  hicc::ClusterConfig cfg;
-  cfg.host = std::move(host_cfg);
-  cfg.faults = std::move(cfg.host.faults);
-  cfg.host.faults = hicc::fault::FaultScript{};
-  cfg.topology.leaves = leaves;
-  cfg.topology.spines = spines;
-  cfg.topology.hosts_per_leaf = hosts / leaves;
-  cfg.topology.ecmp_seed = static_cast<std::uint64_t>(flags.number("ecmp-seed", 1));
-  cfg.topology.host_link_rate = hicc::BitRate::gbps(flags.number("host-gbps", 100));
-  cfg.topology.fabric_link_rate = hicc::BitRate::gbps(flags.number("fabric-gbps", 100));
-  cfg.receivers = static_cast<int>(flags.number("receivers", 1));
-  cfg.full_sender_hosts = flags.flag("full-hosts", true);
-  const std::string wl_pattern = flags.str("workload", "off");
-  if (!hicc::workload::pattern_from_string(wl_pattern.c_str(), &cfg.workload.pattern)) {
-    std::fprintf(stderr,
-                 "unknown --workload=%s (off|incast|uniform|allreduce_ring|"
-                 "allreduce_tree)\n",
-                 wl_pattern.c_str());
-    return kExitConfigInvalid;
-  }
-  const std::string wl_arrival = flags.str("wl-arrival", "poisson");
-  if (!hicc::workload::arrival_from_string(wl_arrival.c_str(), &cfg.workload.arrival)) {
-    std::fprintf(stderr, "unknown --wl-arrival=%s (poisson|bursty)\n", wl_arrival.c_str());
-    return kExitConfigInvalid;
-  }
-  const std::string wl_size = flags.str("wl-size", "fixed");
-  if (!hicc::workload::size_dist_from_string(wl_size.c_str(), &cfg.workload.size_dist)) {
-    std::fprintf(stderr, "unknown --wl-size=%s (fixed|websearch|hadoop)\n", wl_size.c_str());
-    return kExitConfigInvalid;
-  }
-  cfg.workload.rate_per_s = flags.number("wl-rate", cfg.workload.rate_per_s);
-  cfg.workload.burst_factor = flags.number("wl-burst-factor", cfg.workload.burst_factor);
-  cfg.workload.burst_on_fraction = flags.number("wl-burst-on", cfg.workload.burst_on_fraction);
-  cfg.workload.burst_period =
-      TimePs::from_us(flags.number("wl-burst-period-us", cfg.workload.burst_period.us()));
-  cfg.workload.fixed_size = hicc::Bytes(static_cast<std::int64_t>(
-      flags.number("wl-size-kb", static_cast<double>(cfg.workload.fixed_size.count()) / 1024.0) *
-      1024.0));
-  cfg.workload.fanout = static_cast<int>(flags.number("wl-fanout", cfg.workload.fanout));
-  cfg.workload.max_active =
-      static_cast<int>(flags.number("wl-max-active", cfg.workload.max_active));
-  cfg.workload.target_flows =
-      static_cast<std::int64_t>(flags.number("wl-target-flows", 0));
-  cfg.workload.sketch_relative_error =
-      flags.number("wl-sketch-error", cfg.workload.sketch_relative_error);
-  if (cfg.workload.enabled()) cfg.host.victim_flows = 0;
-  const std::string antag_profile = flags.str("antagonist-profile", "");
-  if (!antag_profile.empty()) {
-    // Comma-separated per-receiver antagonist core counts, repeated
-    // cyclically across receivers (heterogeneous-fleet modeling).
-    std::size_t pos = 0;
-    while (pos < antag_profile.size()) {
-      std::size_t used = 0;
-      int cores = 0;
-      try {
-        cores = std::stoi(antag_profile.substr(pos), &used);
-      } catch (...) {
-        used = 0;
-      }
-      if (used == 0) {
-        std::fprintf(stderr, "bad --antagonist-profile=%s (comma-separated core counts)\n",
-                     antag_profile.c_str());
-        return kExitConfigInvalid;
-      }
-      cfg.antagonist_profile.push_back(cores);
-      pos += used;
-      if (pos < antag_profile.size() && antag_profile[pos] == ',') ++pos;
-    }
-  }
-
-  const std::string parallel = flags.str("parallel", "0");
-  if (parallel == "auto") {
-    // Same pool-sizing rule as sweep --jobs ($HICC_JOBS, then hardware
-    // concurrency); the engine clamps to the partition count.
-    cfg.parallelism = hicc::sweep::SweepRunner::resolve_jobs(0);
-  } else {
-    cfg.parallelism = static_cast<int>(flags.number("parallel", 0));
-  }
-
   if (const auto violations = hicc::validate(cfg); !violations.empty()) {
-    std::fprintf(stderr, "invalid cluster configuration (%zu problem(s)):\n",
-                 violations.size());
-    for (const auto& v : violations) {
-      std::fprintf(stderr, "  %s: %s\n", v.field.c_str(), v.message.c_str());
-    }
+    std::fprintf(stderr, "invalid cluster configuration:\n%s\n",
+                 hicc::describe(violations).c_str());
     return kExitConfigInvalid;
   }
   const std::string json_path = flags.str("json", "");
@@ -557,7 +442,12 @@ int run_isolated_sweep(const Flags& flags, const hicc::ExperimentConfig& cfg, in
       std::fprintf(stderr, "bad --inject-fail=%s (want INDEX:MODE)\n", inject.c_str());
       return kExitUsage;
     }
-    const std::size_t target = static_cast<std::size_t>(std::atoll(inject.c_str()));
+    std::size_t target = 0;
+    if (!hicc::fields::from_text(inject.substr(0, colon), &target).empty()) {
+      std::fprintf(stderr, "bad --inject-fail=%s (INDEX must be a point index)\n",
+                   inject.c_str());
+      return kExitUsage;
+    }
     const std::string mode = inject.substr(colon + 1);
     opts.decorate = [target, mode](std::size_t i) {
       return i == target ? "inject=" + mode + "\n" : std::string();
@@ -621,82 +511,34 @@ int run_isolated_sweep(const Flags& flags, const hicc::ExperimentConfig& cfg, in
 /// Everything after argument parsing: builds the config from `flags`
 /// and dispatches to the chosen mode.
 int run(const Flags& flags) {
-  hicc::ExperimentConfig cfg;
-  cfg.rx_threads = static_cast<int>(flags.number("threads", 12));
-  cfg.num_senders = static_cast<int>(flags.number("senders", 40));
-  cfg.read_size = hicc::Bytes(static_cast<std::int64_t>(flags.number("read-kb", 16) * 1024));
-  cfg.read_pipeline = static_cast<int>(flags.number("pipeline", 1));
-  cfg.victim_flows = static_cast<int>(flags.number("victims", 0));
-  cfg.iommu_enabled = flags.flag("iommu", true);
-  cfg.hugepages = flags.flag("hugepages", true);
-  cfg.data_region = hicc::Bytes::mib(flags.number("region-mb", 12));
-  cfg.iommu.iotlb_entries = static_cast<int>(flags.number("iotlb", 128));
-  cfg.nic.input_buffer =
-      hicc::Bytes(static_cast<std::int64_t>(flags.number("nic-buffer-kb", 1024) * 1024));
-  cfg.ats_enabled = flags.flag("ats", false);
-  cfg.strict_iommu = flags.flag("strict", false);
-  cfg.ddio.enabled = flags.flag("ddio", true);
-  cfg.antagonist_cores = static_cast<int>(flags.number("antagonists", 0));
-  cfg.antagonist_remote_numa = flags.flag("remote-numa", false);
-  cfg.antagonist_throttle_gbps = flags.number("mba-gbs", 0.0);
-  cfg.swift.host_target = TimePs::from_us(flags.number("host-target-us", 100));
-  cfg.warmup = TimePs::from_ms(flags.number("warmup-ms", 10));
-  cfg.measure = TimePs::from_ms(flags.number("measure-ms", 20));
-  cfg.seed = static_cast<std::uint64_t>(flags.number("seed", 1));
-  cfg.watchdog.max_events = static_cast<std::uint64_t>(flags.number("max-events", 0));
-
-  const std::string faults_spec = flags.str("faults", "");
-  if (!faults_spec.empty()) {
-    hicc::fault::ParseResult parsed = hicc::fault::parse_script(faults_spec);
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "invalid --faults spec:\n");
-      for (const auto& err : parsed.errors) std::fprintf(stderr, "  %s\n", err.c_str());
-      return kExitFaultParse;
-    }
-    cfg.faults = std::move(parsed.script);
-  }
-
   const char* trace_env = std::getenv("HICC_TRACE");
   const std::string trace_path =
       flags.str("trace", trace_env != nullptr ? trace_env : "");
-  if (!trace_path.empty()) {
-    cfg.trace.enabled = true;
-    cfg.trace.sample_period = TimePs::from_us(flags.number("trace-period-us", 5));
-  }
 
-  const std::string cc = flags.str("cc", "swift");
-  if (cc == "tcp") {
-    cfg.cc = hicc::transport::CcAlgorithm::kTcpLike;
-  } else if (cc == "host-signal") {
-    cfg.cc = hicc::transport::CcAlgorithm::kHostSignal;
-  } else if (cc == "swift") {
-    cfg.cc = hicc::transport::CcAlgorithm::kSwift;
-  } else {
-    std::fprintf(stderr, "unknown --cc=%s (swift|tcp|host-signal)\n", cc.c_str());
-    return kExitConfigInvalid;
-  }
+  hicc::ClusterConfig cluster;
+  hicc::ExperimentConfig& cfg = cluster.host;
+  cfg.measure = TimePs::from_ms(20);  // the CLI's default window
+  cfg.trace.enabled = !trace_path.empty();
+  hicc::fields::visit_host(
+      cfg, SetFromFlags{flags, cfg.trace.enabled ? nullptr : &cfg.trace.sample_period});
 
-  // A --topology run validates and executes as a ClusterConfig; the
-  // flag-built cfg becomes its per-host template (with faults promoted
-  // to cluster scope, where topology targeting applies).
+  // A --topology run validates and executes as a ClusterConfig whose
+  // per-host template is the flag-built cfg.
   if (!flags.str("topology", "").empty()) {
-    return run_topology(flags, std::move(cfg), trace_path);
+    return run_topology(flags, std::move(cluster), trace_path);
   }
 
   // Reject a nonsensical configuration with every problem at once,
   // before any experiment is built.
   if (const auto violations = hicc::validate(cfg); !violations.empty()) {
-    std::fprintf(stderr, "invalid configuration (%zu problem(s)):\n", violations.size());
-    for (const auto& v : violations) {
-      std::fprintf(stderr, "  %s: %s\n", v.field.c_str(), v.message.c_str());
-    }
+    std::fprintf(stderr, "invalid configuration:\n%s\n", hicc::describe(violations).c_str());
     return kExitConfigInvalid;
   }
 
   const int runs = static_cast<int>(flags.number("runs", 0));
   if (runs > 0) {
     // --resume implies isolation: only the supervisor journals points.
-    if (flags.flag("isolate", false) || !flags.str("resume", "").empty()) {
+    if (flags.number("isolate", 0) != 0 || !flags.str("resume", "").empty()) {
       return run_isolated_sweep(flags, cfg, runs);
     }
     std::vector<hicc::ExperimentConfig> points(static_cast<std::size_t>(runs), cfg);
@@ -817,8 +659,8 @@ int main(int argc, char** argv) {
 
   try {
     return run(flags);
-  } catch (const UsageError& e) {
+  } catch (const CliError& e) {
     std::fprintf(stderr, "%s (try --help)\n", e.what());
-    return kExitUsage;
+    return e.code;
   }
 }

@@ -50,7 +50,9 @@ class ColumnarTable {
 };
 
 /// Flattens one sweep point to the columnar scalar universe: index,
-/// wall_seconds, seed, the headline metrics, and every `extra` probe.
+/// wall_seconds, a `config.<key>` column for every numeric config field
+/// (core/fields.h; bools as 0/1, units as in the sweep record), the
+/// headline metrics, and every `extra` probe.
 [[nodiscard]] std::map<std::string, double> flatten(const SweepResult& r);
 
 /// Writes `results` as one "hicc.sweepc.v1" document (flatten() per

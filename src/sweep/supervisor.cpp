@@ -198,14 +198,11 @@ std::string synthesize_failure_payload(const std::string& spec, std::size_t inde
   r.index = index;
   SpecParse parsed = parse_point_spec(spec);
   if (parsed.ok()) {
+    const ClusterConfig& cfg = parsed.spec.config;
+    r.config = cfg.host;
+    // Mirror ClusterExperiment's effective per-host template.
     if (parsed.spec.is_cluster) {
-      // Mirror ClusterExperiment's effective per-host template.
-      ClusterConfig cluster = parsed.spec.cluster();
-      r.config = cluster.host;
-      r.config.num_senders =
-          std::max(1, parsed.spec.hosts - parsed.spec.receivers);
-    } else {
-      r.config = parsed.spec.host;
+      r.config.num_senders = std::max(1, cfg.topology.num_hosts() - cfg.receivers);
     }
   }
   r.metrics.run_status = status;

@@ -19,21 +19,13 @@
 #include "common/rng.h"
 #include "core/cluster.h"
 #include "core/experiment.h"
+#include "core/fields.h"
 #include "core/validate.h"
 #include "trace/trace.h"
 
 namespace hicc::sweep {
 
 namespace {
-
-const char* cc_name(transport::CcAlgorithm cc) {
-  switch (cc) {
-    case transport::CcAlgorithm::kSwift: return "swift";
-    case transport::CcAlgorithm::kTcpLike: return "tcp-like";
-    case transport::CcAlgorithm::kHostSignal: return "host-signal";
-  }
-  return "unknown";
-}
 
 class JsonObject {
  public:
@@ -45,9 +37,9 @@ class JsonObject {
   }
   void field(const char* key, std::int64_t v) { next(key); os_ << v; }
   void field(const char* key, std::uint64_t v) { next(key); os_ << v; }
-  void field(const char* key, int v) { next(key); os_ << v; }
-  void field(const char* key, bool v) { next(key); os_ << (v ? "true" : "false"); }
   void field(const char* key, const char* v) { next(key); os_ << '"' << v << '"'; }
+  /// `json` is already a JSON literal.
+  void literal(const char* key, const std::string& json) { next(key); os_ << json; }
   /// Opens a nested object; the caller closes it via the returned
   /// object's close().
   void open(const char* key) { next(key); }
@@ -74,35 +66,22 @@ class JsonObject {
   bool first_ = true;
 };
 
+/// Every config field in the table's record order (core/fields.h).
+/// Each value round-trips through its codec -- the fault script through
+/// fault::parse_script -- so a point can be replayed from its sweep
+/// record alone.
 void write_config(std::ostream& os, const ExperimentConfig& cfg, int indent) {
   JsonObject o(os, indent);
-  o.field("num_senders", cfg.num_senders);
-  o.field("rx_threads", cfg.rx_threads);
-  o.field("read_size_bytes", cfg.read_size.count());
-  o.field("read_pipeline", cfg.read_pipeline);
-  o.field("iommu_enabled", cfg.iommu_enabled);
-  o.field("hugepages", cfg.hugepages);
-  o.field("data_region_bytes", cfg.data_region.count());
-  o.field("antagonist_cores", cfg.antagonist_cores);
-  o.field("antagonist_throttle_gbps", cfg.antagonist_throttle_gbps);
-  o.field("antagonist_remote_numa", cfg.antagonist_remote_numa);
-  o.field("ats_enabled", cfg.ats_enabled);
-  o.field("strict_iommu", cfg.strict_iommu);
-  o.field("ddio_enabled", cfg.ddio.enabled);
-  o.field("victim_flows", cfg.victim_flows);
-  o.field("victim_read_size_bytes", cfg.victim_read_size.count());
-  o.field("cc", cc_name(cfg.cc));
-  o.field("swift_host_target_us", cfg.swift.host_target.us());
-  o.field("iotlb_entries", cfg.iommu.iotlb_entries);
-  o.field("nic_buffer_bytes", cfg.nic.input_buffer.count());
-  o.field("pcie_gigatransfers_per_lane", cfg.pcie.gigatransfers_per_lane);
-  o.field("warmup_us", cfg.warmup.us());
-  o.field("measure_us", cfg.measure.us());
-  o.field("seed", cfg.seed);
-  // Spec-grammar form (docs/FAULTS.md); round-trips through
-  // fault::parse_script, so a point's scenario can be replayed from
-  // the sweep record alone.
-  o.field("faults", cfg.faults.to_spec().c_str());
+  fields::visit_host(cfg, [&o](const fields::Field& f, const auto& value) {
+    using T = std::remove_cvref_t<decltype(value)>;
+    if constexpr (std::is_same_v<T, bool>) {
+      o.literal(f.key, value ? "true" : "false");
+    } else if constexpr (fields::kNumeric<T>) {
+      o.literal(f.key, fields::to_text(value));
+    } else {
+      o.field(f.key, fields::to_text(value).c_str());
+    }
+  });
   o.close();
 }
 

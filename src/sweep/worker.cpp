@@ -1,96 +1,20 @@
 #include "sweep/worker.h"
 
-#include <cerrno>
 #include <csignal>
-#include <cstdio>
 #include <cstdlib>
 #include <ctime>
 #include <istream>
 #include <ostream>
 #include <sstream>
 
-#include "common/fmt.h"
 #include "core/experiment.h"
+#include "core/fields.h"
 #include "core/validate.h"
 #include "fault/script.h"
 #include "sweep/sweep.h"
 
 namespace hicc::sweep {
 namespace {
-
-const char* cc_label(transport::CcAlgorithm cc) {
-  switch (cc) {
-    case transport::CcAlgorithm::kSwift: return "swift";
-    case transport::CcAlgorithm::kTcpLike: return "tcp-like";
-    case transport::CcAlgorithm::kHostSignal: return "host-signal";
-  }
-  return "unknown";
-}
-
-bool cc_from_label(const std::string& label, transport::CcAlgorithm* out) {
-  for (const auto cc :
-       {transport::CcAlgorithm::kSwift, transport::CcAlgorithm::kTcpLike,
-        transport::CcAlgorithm::kHostSignal}) {
-    if (label == cc_label(cc)) {
-      *out = cc;
-      return true;
-    }
-  }
-  return false;
-}
-
-/// Spec-line writer: one `key=value` per line, doubles through the
-/// round-trip formatter so parse_point_spec restores them exactly.
-class SpecWriter {
- public:
-  explicit SpecWriter(std::ostream& os) : os_(os) { os_ << "hicc.point.v1\n"; }
-  void put(const char* key, double v) {
-    os_ << key << '=';
-    put_double(os_, v);
-    os_ << '\n';
-  }
-  void put(const char* key, std::int64_t v) { os_ << key << '=' << v << '\n'; }
-  void put(const char* key, std::uint64_t v) { os_ << key << '=' << v << '\n'; }
-  void put(const char* key, int v) { os_ << key << '=' << v << '\n'; }
-  void put(const char* key, bool v) { os_ << key << '=' << (v ? 1 : 0) << '\n'; }
-  void put(const char* key, const std::string& v) { os_ << key << '=' << v << '\n'; }
-
- private:
-  std::ostream& os_;
-};
-
-/// The shared single-host surface of both spec forms -- exactly the
-/// fields hicc.sweep.v1 serializes (sweep.cpp write_config) plus
-/// watchdog and trace run control.
-void write_host_lines(SpecWriter& w, const ExperimentConfig& cfg) {
-  w.put("num_senders", cfg.num_senders);
-  w.put("rx_threads", cfg.rx_threads);
-  w.put("read_size_bytes", cfg.read_size.count());
-  w.put("read_pipeline", cfg.read_pipeline);
-  w.put("iommu_enabled", cfg.iommu_enabled);
-  w.put("hugepages", cfg.hugepages);
-  w.put("data_region_bytes", cfg.data_region.count());
-  w.put("antagonist_cores", cfg.antagonist_cores);
-  w.put("antagonist_throttle_gbps", cfg.antagonist_throttle_gbps);
-  w.put("antagonist_remote_numa", cfg.antagonist_remote_numa);
-  w.put("ats_enabled", cfg.ats_enabled);
-  w.put("strict_iommu", cfg.strict_iommu);
-  w.put("ddio_enabled", cfg.ddio.enabled);
-  w.put("victim_flows", cfg.victim_flows);
-  w.put("victim_read_size_bytes", cfg.victim_read_size.count());
-  w.put("cc", std::string(cc_label(cfg.cc)));
-  w.put("swift_host_target_us", cfg.swift.host_target.us());
-  w.put("iotlb_entries", cfg.iommu.iotlb_entries);
-  w.put("nic_buffer_bytes", cfg.nic.input_buffer.count());
-  w.put("pcie_gigatransfers_per_lane", cfg.pcie.gigatransfers_per_lane);
-  w.put("warmup_us", cfg.warmup.us());
-  w.put("measure_us", cfg.measure.us());
-  w.put("seed", cfg.seed);
-  w.put("max_events", cfg.watchdog.max_events);
-  w.put("max_events_per_timestamp", cfg.watchdog.max_events_per_timestamp);
-  w.put("trace_enabled", cfg.trace.enabled);
-  w.put("trace_period_us", cfg.trace.sample_period.us());
-}
 
 /// Runs the injected failure, if any. Returns -1 to continue with the
 /// real point, or an exit code ("exit:N"). The process-killing modes
@@ -126,58 +50,32 @@ int apply_inject(const std::string& inject, int attempt) {
   return -1;  // unreachable for the killing modes
 }
 
-}  // namespace
-
-ClusterConfig PointSpec::cluster() const {
-  ClusterConfig cfg;
-  cfg.host = host;
-  // Cluster scripts live at cluster scope (topology targeting); the
-  // spec's single `faults=` line carries them there.
-  cfg.faults = cfg.host.faults;
-  cfg.host.faults = fault::FaultScript{};
-  // Metrics-only records: per-host trace harvesting stays an
-  // in-process --topology feature.
-  cfg.host.trace.enabled = false;
-  cfg.topology.leaves = leaves;
-  cfg.topology.spines = spines;
-  cfg.topology.hosts_per_leaf = leaves > 0 ? hosts / leaves : hosts;
-  cfg.topology.ecmp_seed = ecmp_seed;
-  cfg.topology.host_link_rate = BitRate::gbps(host_gbps);
-  cfg.topology.fabric_link_rate = BitRate::gbps(fabric_gbps);
-  cfg.receivers = receivers;
-  cfg.full_sender_hosts = full_hosts;
-  cfg.parallelism = parallelism;
-  cfg.mailbox_capacity = mailbox_capacity;
-  return cfg;
+/// Writes the spec header, the index line and one line per table field
+/// of `host` and, for a cluster point, of `cluster`.
+std::string write_spec(const ExperimentConfig& host, const ClusterConfig* cluster,
+                       std::size_t index) {
+  std::ostringstream os;
+  os << "hicc.point.v1\nindex=" << index << '\n';
+  const auto line = [&os](const fields::Field& f, const auto& value) {
+    os << f.key << '=' << fields::to_text(value) << '\n';
+  };
+  fields::visit_host(host, line);
+  if (cluster != nullptr) fields::visit_cluster(*cluster, line);
+  return os.str();
 }
 
+}  // namespace
+
 std::string point_spec(const ExperimentConfig& cfg, std::size_t index) {
-  std::ostringstream os;
-  SpecWriter w(os);
-  w.put("index", static_cast<std::uint64_t>(index));
-  write_host_lines(w, cfg);
-  w.put("faults", cfg.faults.to_spec());
-  return os.str();
+  return write_spec(cfg, nullptr, index);
 }
 
 std::string cluster_point_spec(const ClusterConfig& cfg, std::size_t index) {
-  std::ostringstream os;
-  SpecWriter w(os);
-  w.put("index", static_cast<std::uint64_t>(index));
-  write_host_lines(w, cfg.host);
-  w.put("faults", cfg.faults.to_spec());
-  std::ostringstream topo;
-  topo << cfg.topology.leaves << 'x' << cfg.topology.spines << 'x'
-       << cfg.topology.leaves * cfg.topology.hosts_per_leaf;
-  w.put("topology", topo.str());
-  w.put("receivers", cfg.receivers);
-  w.put("ecmp_seed", cfg.topology.ecmp_seed);
-  w.put("host_gbps", cfg.topology.host_link_rate.bps() / 1e9);
-  w.put("fabric_gbps", cfg.topology.fabric_link_rate.bps() / 1e9);
-  w.put("full_hosts", cfg.full_sender_hosts);
-  w.put("parallelism", cfg.parallelism);
-  w.put("mailbox_capacity", static_cast<std::uint64_t>(cfg.mailbox_capacity));
-  return os.str();
+  // The spec has one `faults=` line; for a cluster it is the cluster
+  // script, which parse_point_spec moves back to cluster scope.
+  ExperimentConfig host = cfg.host;
+  host.faults = cfg.faults;
+  return write_spec(host, &cfg, index);
 }
 
 SpecParse parse_point_spec(const std::string& text) {
@@ -194,60 +92,6 @@ SpecParse parse_point_spec(const std::string& text) {
   const auto fail = [&out, &lineno](const std::string& what) {
     out.errors.push_back("line " + std::to_string(lineno) + ": " + what);
   };
-  const auto as_i64 = [&fail](const std::string& v, std::int64_t* dst) {
-    char* end = nullptr;
-    errno = 0;
-    const long long n = std::strtoll(v.c_str(), &end, 10);
-    if (errno != 0 || end == v.c_str() || *end != '\0') {
-      fail("expected an integer, got '" + v + "'");
-      return;
-    }
-    *dst = n;
-  };
-  const auto as_u64 = [&fail](const std::string& v, std::uint64_t* dst) {
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long n = std::strtoull(v.c_str(), &end, 10);
-    if (errno != 0 || end == v.c_str() || *end != '\0') {
-      fail("expected an unsigned integer, got '" + v + "'");
-      return;
-    }
-    *dst = n;
-  };
-  const auto as_int = [&as_i64](const std::string& v, int* dst) {
-    std::int64_t n = *dst;
-    as_i64(v, &n);
-    *dst = static_cast<int>(n);
-  };
-  const auto as_dbl = [&fail](const std::string& v, double* dst) {
-    char* end = nullptr;
-    errno = 0;
-    const double d = std::strtod(v.c_str(), &end);
-    if (errno != 0 || end == v.c_str() || *end != '\0') {
-      fail("expected a number, got '" + v + "'");
-      return;
-    }
-    *dst = d;
-  };
-  const auto as_bool = [&fail](const std::string& v, bool* dst) {
-    if (v == "0" || v == "1") {
-      *dst = v == "1";
-    } else {
-      fail("expected 0 or 1, got '" + v + "'");
-    }
-  };
-  const auto as_bytes = [&as_i64](const std::string& v, Bytes* dst) {
-    std::int64_t n = dst->count();
-    as_i64(v, &n);
-    *dst = Bytes(n);
-  };
-  const auto as_us = [&as_dbl](const std::string& v, TimePs* dst) {
-    double us = dst->us();
-    as_dbl(v, &us);
-    *dst = TimePs::from_us(us);
-  };
-
-  ExperimentConfig& cfg = spec.host;
   while (std::getline(in, line)) {
     ++lineno;
     if (line.empty()) continue;
@@ -260,11 +104,9 @@ SpecParse parse_point_spec(const std::string& text) {
     const std::string value = line.substr(eq + 1);
 
     if (key == "index") {
-      std::uint64_t v = 0;
-      as_u64(value, &v);
-      spec.index = static_cast<std::size_t>(v);
+      if (const std::string e = fields::from_text(value, &spec.index); !e.empty()) fail(e);
     } else if (key == "attempt") {
-      as_int(value, &spec.attempt);
+      if (const std::string e = fields::from_text(value, &spec.attempt); !e.empty()) fail(e);
       if (spec.attempt < 1) fail("attempt must be >= 1");
     } else if (key == "inject") {
       static constexpr const char* kModes[] = {"segv", "abort",      "kill",
@@ -275,100 +117,30 @@ SpecParse parse_point_spec(const std::string& text) {
       for (const char* m : kModes) known = known || mode == m;
       if (!known) fail("unknown inject mode '" + value + "'");
       spec.inject = value;
-    } else if (key == "num_senders") {
-      as_int(value, &cfg.num_senders);
-    } else if (key == "rx_threads") {
-      as_int(value, &cfg.rx_threads);
-    } else if (key == "read_size_bytes") {
-      as_bytes(value, &cfg.read_size);
-    } else if (key == "read_pipeline") {
-      as_int(value, &cfg.read_pipeline);
-    } else if (key == "iommu_enabled") {
-      as_bool(value, &cfg.iommu_enabled);
-    } else if (key == "hugepages") {
-      as_bool(value, &cfg.hugepages);
-    } else if (key == "data_region_bytes") {
-      as_bytes(value, &cfg.data_region);
-    } else if (key == "antagonist_cores") {
-      as_int(value, &cfg.antagonist_cores);
-    } else if (key == "antagonist_throttle_gbps") {
-      as_dbl(value, &cfg.antagonist_throttle_gbps);
-    } else if (key == "antagonist_remote_numa") {
-      as_bool(value, &cfg.antagonist_remote_numa);
-    } else if (key == "ats_enabled") {
-      as_bool(value, &cfg.ats_enabled);
-    } else if (key == "strict_iommu") {
-      as_bool(value, &cfg.strict_iommu);
-    } else if (key == "ddio_enabled") {
-      as_bool(value, &cfg.ddio.enabled);
-    } else if (key == "victim_flows") {
-      as_int(value, &cfg.victim_flows);
-    } else if (key == "victim_read_size_bytes") {
-      as_bytes(value, &cfg.victim_read_size);
-    } else if (key == "cc") {
-      if (!cc_from_label(value, &cfg.cc)) fail("unknown cc '" + value + "'");
-    } else if (key == "swift_host_target_us") {
-      as_us(value, &cfg.swift.host_target);
-    } else if (key == "iotlb_entries") {
-      as_int(value, &cfg.iommu.iotlb_entries);
-    } else if (key == "nic_buffer_bytes") {
-      as_bytes(value, &cfg.nic.input_buffer);
-    } else if (key == "pcie_gigatransfers_per_lane") {
-      as_dbl(value, &cfg.pcie.gigatransfers_per_lane);
-    } else if (key == "warmup_us") {
-      as_us(value, &cfg.warmup);
-    } else if (key == "measure_us") {
-      as_us(value, &cfg.measure);
-    } else if (key == "seed") {
-      as_u64(value, &cfg.seed);
-    } else if (key == "max_events") {
-      as_u64(value, &cfg.watchdog.max_events);
-    } else if (key == "max_events_per_timestamp") {
-      as_u64(value, &cfg.watchdog.max_events_per_timestamp);
-    } else if (key == "trace_enabled") {
-      as_bool(value, &cfg.trace.enabled);
-    } else if (key == "trace_period_us") {
-      as_us(value, &cfg.trace.sample_period);
-    } else if (key == "faults") {
-      if (!value.empty()) {
-        fault::ParseResult parsed = fault::parse_script(value);
-        if (!parsed.ok()) {
-          for (const auto& err : parsed.errors) fail("faults: " + err);
-        } else {
-          cfg.faults = std::move(parsed.script);
-        }
-      }
-    } else if (key == "topology") {
-      int leaves = 0, spines = 0, hosts = 0;
-      char excess = '\0';
-      if (std::sscanf(value.c_str(), "%dx%dx%d%c", &leaves, &spines, &hosts, &excess) != 3 ||
-          leaves <= 0 || hosts <= 0 || hosts % leaves != 0) {
-        fail("bad topology '" + value + "' (want LxSxH with H divisible by L)");
-      } else {
-        spec.is_cluster = true;
-        spec.leaves = leaves;
-        spec.spines = spines;
-        spec.hosts = hosts;
-      }
-    } else if (key == "receivers") {
-      as_int(value, &spec.receivers);
-    } else if (key == "ecmp_seed") {
-      as_u64(value, &spec.ecmp_seed);
-    } else if (key == "host_gbps") {
-      as_dbl(value, &spec.host_gbps);
-    } else if (key == "fabric_gbps") {
-      as_dbl(value, &spec.fabric_gbps);
-    } else if (key == "full_hosts") {
-      as_bool(value, &spec.full_hosts);
-    } else if (key == "parallelism") {
-      as_int(value, &spec.parallelism);
-    } else if (key == "mailbox_capacity") {
-      std::uint64_t v = 0;
-      as_u64(value, &v);
-      spec.mailbox_capacity = static_cast<std::size_t>(v);
     } else {
-      fail("unknown key '" + key + "'");
+      bool found = false;
+      const auto parse = [&](const fields::Field& f, auto& field) {
+        if (found || key != f.key) return;
+        found = true;
+        if (const std::string e = fields::from_text(value, &field); !e.empty()) {
+          fail(key + ": " + e);
+        }
+      };
+      fields::visit_host(spec.config.host, parse);
+      if (!found) {
+        fields::visit_cluster(spec.config, parse);
+        spec.is_cluster = spec.is_cluster || found;
+      }
+      if (!found) fail("unknown key '" + key + "'");
     }
+  }
+  // A cluster spec's one `faults=` line is the cluster script, and
+  // cluster workers write metrics-only records: per-host trace
+  // harvesting stays an in-process --topology feature.
+  if (spec.is_cluster) {
+    spec.config.faults = std::move(spec.config.host.faults);
+    spec.config.host.faults = fault::FaultScript{};
+    spec.config.host.trace.enabled = false;
   }
   return out;
 }
@@ -391,7 +163,7 @@ int run_point_worker(std::istream& in, std::ostream& out, std::ostream& err) {
   try {
     std::vector<SweepResult> points;
     if (spec.is_cluster) {
-      ClusterConfig cfg = spec.cluster();
+      ClusterConfig& cfg = spec.config;
       if (const auto violations = validate(cfg); !violations.empty()) {
         err << "invalid point configuration:\n" << describe(violations) << '\n';
         return kExitConfigInvalid;
@@ -400,7 +172,7 @@ int run_point_worker(std::istream& in, std::ostream& out, std::ostream& err) {
       const ClusterMetrics cm = exp.run();
       points = cluster_points(exp, cm, spec.index);
     } else {
-      ExperimentConfig& cfg = spec.host;
+      ExperimentConfig& cfg = spec.config.host;
       if (const auto violations = validate(cfg); !violations.empty()) {
         err << "invalid point configuration:\n" << describe(violations) << '\n';
         return kExitConfigInvalid;

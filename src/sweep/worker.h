@@ -13,11 +13,12 @@
 //   - the exit code says how it went (ExitCode below -- the same codes
 //     hicc_cli uses, asserted by CI).
 //
-// The spec covers exactly the config surface that hicc.sweep.v1
-// records serialize (sweep.cpp write_config) plus run-control,
-// watchdog, trace, and optional cluster-topology keys; a worker record
-// therefore matches what the in-process SweepRunner would produce for
-// the same point, byte for byte except wall_seconds.
+// The spec carries every config field, one line per entry of the
+// config field table (core/fields.h), with values that round-trip
+// exactly. A worker therefore simulates exactly the point the parent
+// described, and its record matches what the in-process SweepRunner or
+// ClusterExperiment would produce for the same point, byte for byte
+// except wall_seconds (pinned by tests/supervisor_test.cpp).
 #pragma once
 
 #include <cstdint>
@@ -43,8 +44,8 @@ enum ExitCode : int {
   kExitExecFailed = 127,   // supervisor child: exec of the worker failed
 };
 
-/// A parsed `hicc.point.v1` spec: the per-host config plus either
-/// nothing more (single-host point) or the cluster-run shape.
+/// A parsed `hicc.point.v1` spec: one point's config plus the
+/// supervisor's per-launch lines.
 struct PointSpec {
   /// Index the record's element(s) carry (`index` for a single-host
   /// point, `index + r` for cluster receiver r).
@@ -58,25 +59,14 @@ struct PointSpec {
   /// "flaky-kill:K" (fail while attempt < K). Empty = none.
   std::string inject;
 
-  ExperimentConfig host;
-
-  /// True when the spec carried a `topology=` key: the point is a
+  /// True when the spec carried a ClusterConfig key: the point is a
   /// ClusterExperiment emitting one element per receiver.
   bool is_cluster = false;
-  int leaves = 1;
-  int spines = 1;
-  int hosts = 2;  // total hosts, must divide evenly across leaves
-  int receivers = 1;
-  std::uint64_t ecmp_seed = 1;
-  double host_gbps = 100.0;
-  double fabric_gbps = 100.0;
-  bool full_hosts = true;
-  int parallelism = 0;
-  std::size_t mailbox_capacity = 0;
-
-  /// Assembles the ClusterConfig a cluster spec describes. Tracing is
-  /// forced off: cluster workers report metrics-only records.
-  [[nodiscard]] ClusterConfig cluster() const;
+  /// The point's config. A single-host point uses only `config.host`.
+  /// A cluster point has its `faults=` script at cluster scope
+  /// (`config.faults`) and tracing off: cluster workers report
+  /// metrics-only records.
+  ClusterConfig config;
 };
 
 /// Serializes a single-host point as a `hicc.point.v1` spec
@@ -84,8 +74,8 @@ struct PointSpec {
 [[nodiscard]] std::string point_spec(const ExperimentConfig& cfg, std::size_t index);
 
 /// Serializes a cluster point; `index` is the first receiver element's
-/// index. `cfg.host.faults` is ignored (cluster scripts live in
-/// `cfg.faults`), matching ClusterExperiment.
+/// index. The spec's one `faults=` line carries `cfg.faults`;
+/// `cfg.host.faults` is ignored, as ClusterExperiment ignores it.
 [[nodiscard]] std::string cluster_point_spec(const ClusterConfig& cfg, std::size_t index);
 
 /// Result of parsing a spec: every problem found, not just the first.

@@ -6,6 +6,7 @@
 // response" direction. All three plug into the same sender flow.
 #pragma once
 
+#include <cstring>
 #include <memory>
 
 #include "common/units.h"
@@ -51,5 +52,28 @@ enum class CcAlgorithm {
   kTcpLike,     // loss-based AIMD baseline
   kHostSignal,  // Swift + sub-RTT multiplicative response to NIC signals
 };
+
+/// The algorithm's name in records and on the command line.
+inline const char* to_string(CcAlgorithm cc) {
+  switch (cc) {
+    case CcAlgorithm::kSwift: return "swift";
+    case CcAlgorithm::kTcpLike: return "tcp-like";
+    case CcAlgorithm::kHostSignal: return "host-signal";
+  }
+  return "unknown";
+}
+
+/// Inverse of to_string; "tcp" is accepted as a short alias for
+/// "tcp-like" (hicc_cli --cc=tcp).
+inline bool from_string(const char* s, CcAlgorithm* out) {
+  if (std::strcmp(s, "tcp") == 0) s = to_string(CcAlgorithm::kTcpLike);
+  for (const auto cc : {CcAlgorithm::kSwift, CcAlgorithm::kTcpLike, CcAlgorithm::kHostSignal}) {
+    if (std::strcmp(s, to_string(cc)) == 0) {
+      *out = cc;
+      return true;
+    }
+  }
+  return false;
+}
 
 }  // namespace hicc::transport

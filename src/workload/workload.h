@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
 
 #include "common/units.h"
 
@@ -39,13 +40,6 @@ enum class SizeDist : std::uint8_t {
   kWebSearch,  // web-search RPC sizes (DCTCP-style CDF, ~1.6MB mean)
   kHadoop,     // storage/analytics sizes (VL2-style CDF, mostly-small heavy tail)
 };
-
-[[nodiscard]] const char* to_string(Pattern p);
-[[nodiscard]] const char* to_string(Arrival a);
-[[nodiscard]] const char* to_string(SizeDist d);
-[[nodiscard]] bool pattern_from_string(const char* s, Pattern* out);
-[[nodiscard]] bool arrival_from_string(const char* s, Arrival* out);
-[[nodiscard]] bool size_dist_from_string(const char* s, SizeDist* out);
 
 /// All knobs of one receiver-side open-loop workload.
 struct WorkloadParams {
@@ -104,35 +98,26 @@ inline const char* to_string(SizeDist d) {
   return "unknown";
 }
 
-inline bool pattern_from_string(const char* s, Pattern* out) {
-  for (const Pattern p : {Pattern::kOff, Pattern::kIncast, Pattern::kUniform,
-                          Pattern::kAllreduceRing, Pattern::kAllreduceTree}) {
-    if (std::strcmp(s, to_string(p)) == 0) {
-      *out = p;
+/// Inverse of to_string over `values`.
+template <typename E>
+bool from_string(const char* s, E* out, std::initializer_list<E> values) {
+  for (const E v : values) {
+    if (std::strcmp(s, to_string(v)) == 0) {
+      *out = v;
       return true;
     }
   }
   return false;
 }
-
-inline bool arrival_from_string(const char* s, Arrival* out) {
-  for (const Arrival a : {Arrival::kPoisson, Arrival::kBursty}) {
-    if (std::strcmp(s, to_string(a)) == 0) {
-      *out = a;
-      return true;
-    }
-  }
-  return false;
+inline bool from_string(const char* s, Pattern* out) {
+  using enum Pattern;
+  return from_string(s, out, {kOff, kIncast, kUniform, kAllreduceRing, kAllreduceTree});
 }
-
-inline bool size_dist_from_string(const char* s, SizeDist* out) {
-  for (const SizeDist d : {SizeDist::kFixed, SizeDist::kWebSearch, SizeDist::kHadoop}) {
-    if (std::strcmp(s, to_string(d)) == 0) {
-      *out = d;
-      return true;
-    }
-  }
-  return false;
+inline bool from_string(const char* s, Arrival* out) {
+  return from_string(s, out, {Arrival::kPoisson, Arrival::kBursty});
+}
+inline bool from_string(const char* s, SizeDist* out) {
+  return from_string(s, out, {SizeDist::kFixed, SizeDist::kWebSearch, SizeDist::kHadoop});
 }
 
 }  // namespace hicc::workload

@@ -17,6 +17,7 @@
 
 #include <chrono>
 #include <csignal>
+#include <set>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -25,8 +26,11 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "core/fields.h"
 #include "core/validate.h"
 #include "sweep/journal.h"
 #include "sweep/supervisor.h"
@@ -100,78 +104,165 @@ std::string read_file(const std::string& path) {
 
 // --------------------------------------------------------------- spec
 
-TEST(PointSpec, RoundTripsThroughParse) {
-  ExperimentConfig cfg;
-  cfg.rx_threads = 5;
-  cfg.num_senders = 7;
-  cfg.read_size = Bytes(32 * 1024);
-  cfg.read_pipeline = 3;
-  cfg.victim_flows = 2;
-  cfg.iommu_enabled = false;
-  cfg.hugepages = false;
-  cfg.ats_enabled = true;
-  cfg.antagonist_cores = 6;
-  cfg.antagonist_throttle_gbps = 2.5;
-  cfg.cc = transport::CcAlgorithm::kHostSignal;
-  cfg.warmup = TimePs::from_us(123);
-  cfg.measure = TimePs::from_us(456);
-  cfg.seed = 987654321;
-  cfg.watchdog.max_events = 5000000;
+/// Sets every table field of `c` to a non-default value.
+struct Perturb {
+  template <typename T>
+  void operator()(const fields::Field&, T& v) const {
+    if constexpr (std::is_same_v<T, bool>) {
+      v = !v;
+    } else if constexpr (std::is_arithmetic_v<T>) {
+      v = static_cast<T>(v * 3 + 7);
+      if constexpr (std::is_floating_point_v<T>) v += 0.1;  // not a short decimal
+    } else if constexpr (std::is_same_v<T, Bytes>) {
+      v = Bytes(v.count() * 3 + 4097);
+    } else if constexpr (std::is_same_v<T, TimePs>) {
+      v = TimePs(v.ps() * 3 + 12'300'001);
+    } else if constexpr (std::is_same_v<T, BitRate>) {
+      v = BitRate(v.bps() * 3 + 7);
+    } else if constexpr (std::is_same_v<T, transport::CcAlgorithm>) {
+      v = transport::CcAlgorithm::kHostSignal;
+    } else if constexpr (std::is_same_v<T, workload::Pattern>) {
+      v = workload::Pattern::kIncast;
+    } else if constexpr (std::is_same_v<T, workload::Arrival>) {
+      v = workload::Arrival::kBursty;
+    } else if constexpr (std::is_same_v<T, workload::SizeDist>) {
+      v = workload::SizeDist::kHadoop;
+    } else if constexpr (std::is_same_v<T, fault::FaultScript>) {
+      v = fault::parse_script("mem.antagonist@1ms+2ms,cores=3;net.loss@2ms,prob=0.25").script;
+    } else if constexpr (std::is_same_v<T, net::TopologyConfig>) {
+      v.leaves = 3;
+      v.spines = 5;
+      v.hosts_per_leaf = 7;
+    } else {
+      v = {1, 3};
+    }
+  }
+};
 
-  const SpecParse parsed = parse_point_spec(point_spec(cfg, 7));
+/// Every table field as (key, exact value), spelled independently of
+/// the table's own codecs: doubles as hex floats, times in ps.
+struct Exact {
+  std::vector<std::pair<std::string, std::string>>* out;
+  template <typename T>
+  void operator()(const fields::Field& f, const T& v) const {
+    std::ostringstream os;
+    if constexpr (std::is_floating_point_v<T>) {
+      os << std::hexfloat << v;
+    } else if constexpr (std::is_arithmetic_v<T>) {
+      os << v;
+    } else if constexpr (std::is_same_v<T, Bytes>) {
+      os << v.count() << "B";
+    } else if constexpr (std::is_same_v<T, TimePs>) {
+      os << v.ps() << "ps";
+    } else if constexpr (std::is_same_v<T, BitRate>) {
+      os << std::hexfloat << v.bps() << "bps";
+    } else if constexpr (std::is_enum_v<T>) {
+      os << static_cast<int>(v);
+    } else if constexpr (std::is_same_v<T, fault::FaultScript>) {
+      os << v.to_spec();
+    } else if constexpr (std::is_same_v<T, net::TopologyConfig>) {
+      os << v.leaves << '/' << v.spines << '/' << v.hosts_per_leaf;
+    } else {
+      for (int x : v) os << x << ';';
+    }
+    out->emplace_back(f.key, os.str());
+  }
+};
+
+std::vector<std::pair<std::string, std::string>> exact_fields(const ClusterConfig& c) {
+  std::vector<std::pair<std::string, std::string>> out;
+  fields::visit_host(c.host, Exact{&out});
+  fields::visit_cluster(c, Exact{&out});
+  return out;
+}
+
+/// A cluster config with every table field perturbed, under the two
+/// cluster-point rules: the script is at cluster scope, tracing off.
+ClusterConfig perturbed_cluster() {
+  ClusterConfig cfg;
+  fields::visit_host(cfg.host, Perturb{});
+  fields::visit_cluster(cfg, Perturb{});
+  cfg.faults = cfg.host.faults;
+  cfg.host.faults = fault::FaultScript{};
+  cfg.host.trace.enabled = false;
+  return cfg;
+}
+
+TEST(PointSpec, RoundTripsThroughParse) {
+  ClusterConfig cfg;
+  fields::visit_host(cfg.host, Perturb{});
+
+  const SpecParse parsed = parse_point_spec(point_spec(cfg.host, 7));
   ASSERT_TRUE(parsed.ok()) << parsed.errors.front();
   const PointSpec& spec = parsed.spec;
   EXPECT_EQ(spec.index, 7u);
   EXPECT_EQ(spec.attempt, 1);
   EXPECT_FALSE(spec.is_cluster);
-  EXPECT_EQ(spec.host.rx_threads, cfg.rx_threads);
-  EXPECT_EQ(spec.host.num_senders, cfg.num_senders);
-  EXPECT_EQ(spec.host.read_size.count(), cfg.read_size.count());
-  EXPECT_EQ(spec.host.read_pipeline, cfg.read_pipeline);
-  EXPECT_EQ(spec.host.victim_flows, cfg.victim_flows);
-  EXPECT_EQ(spec.host.iommu_enabled, cfg.iommu_enabled);
-  EXPECT_EQ(spec.host.hugepages, cfg.hugepages);
-  EXPECT_EQ(spec.host.ats_enabled, cfg.ats_enabled);
-  EXPECT_EQ(spec.host.antagonist_cores, cfg.antagonist_cores);
-  EXPECT_EQ(spec.host.antagonist_throttle_gbps, cfg.antagonist_throttle_gbps);
-  EXPECT_EQ(spec.host.cc, cfg.cc);
-  EXPECT_EQ(spec.host.warmup.us(), cfg.warmup.us());
-  EXPECT_EQ(spec.host.measure.us(), cfg.measure.us());
-  EXPECT_EQ(spec.host.seed, cfg.seed);
-  EXPECT_EQ(spec.host.watchdog.max_events, cfg.watchdog.max_events);
+  EXPECT_EQ(exact_fields(spec.config), exact_fields(cfg));
 
   // Serializing the parsed config reproduces the spec byte-for-byte:
   // the fingerprint a resumed sweep recomputes depends on this.
-  EXPECT_EQ(point_spec(spec.host, 7), point_spec(cfg, 7));
+  EXPECT_EQ(point_spec(spec.config.host, 7), point_spec(cfg.host, 7));
 }
 
 TEST(PointSpec, ClusterFormRoundTrips) {
-  ClusterConfig cfg;
-  cfg.host.warmup = TimePs::from_us(200);
-  cfg.host.measure = TimePs::from_us(400);
-  cfg.host.rx_threads = 2;
-  cfg.topology.leaves = 2;
-  cfg.topology.spines = 3;
-  cfg.topology.hosts_per_leaf = 4;
-  cfg.topology.ecmp_seed = 77;
-  cfg.receivers = 2;
-  cfg.parallelism = 2;
-  cfg.mailbox_capacity = 512;
+  const ClusterConfig cfg = perturbed_cluster();
 
   const SpecParse parsed = parse_point_spec(cluster_point_spec(cfg, 3));
   ASSERT_TRUE(parsed.ok()) << parsed.errors.front();
   const PointSpec& spec = parsed.spec;
   EXPECT_TRUE(spec.is_cluster);
   EXPECT_EQ(spec.index, 3u);
-  const ClusterConfig round = spec.cluster();
-  EXPECT_EQ(round.topology.leaves, cfg.topology.leaves);
-  EXPECT_EQ(round.topology.spines, cfg.topology.spines);
-  EXPECT_EQ(round.topology.hosts_per_leaf, cfg.topology.hosts_per_leaf);
-  EXPECT_EQ(round.topology.ecmp_seed, cfg.topology.ecmp_seed);
-  EXPECT_EQ(round.receivers, cfg.receivers);
-  EXPECT_EQ(round.parallelism, cfg.parallelism);
-  EXPECT_EQ(round.mailbox_capacity, cfg.mailbox_capacity);
-  EXPECT_EQ(cluster_point_spec(round, 3), cluster_point_spec(cfg, 3));
+  EXPECT_EQ(exact_fields(spec.config), exact_fields(cfg));
+  EXPECT_EQ(spec.config.faults.to_spec(), cfg.faults.to_spec());
+  EXPECT_TRUE(spec.config.host.faults.empty());
+  EXPECT_EQ(cluster_point_spec(spec.config, 3), cluster_point_spec(cfg, 3));
+}
+
+TEST(PointSpec, TableKeysAreUniqueAndPerturbationChangesEveryField) {
+  const auto defaults = exact_fields(ClusterConfig{});
+  ClusterConfig changed;
+  fields::visit_host(changed.host, Perturb{});
+  fields::visit_cluster(changed, Perturb{});
+  const auto perturbed = exact_fields(changed);
+  ASSERT_EQ(defaults.size(), perturbed.size());
+  std::set<std::string> keys;
+  for (std::size_t i = 0; i < defaults.size(); ++i) {
+    EXPECT_TRUE(keys.insert(defaults[i].first).second) << "duplicate key " << defaults[i].first;
+    EXPECT_NE(defaults[i].second, perturbed[i].second) << defaults[i].first;
+  }
+}
+
+TEST(PointSpec, ValuesTheHandWrittenSpecLostRoundTrip) {
+  // The six losses of the hand-written spec writer/parser this table
+  // replaced: two nested host params came back at their defaults, a
+  // time lost a picosecond to truncating TimePs::from_us, and three
+  // cluster fields were never written.
+  ClusterConfig cfg;
+  cfg.host.warmup = TimePs::from_us(200);
+  cfg.host.measure = TimePs::from_us(400);
+  cfg.host.pcie.credit_bytes = Bytes(4096);
+  cfg.host.dram.channels = 2;
+  cfg.host.swift.host_target = TimePs(12'300'000);
+  cfg.workload.pattern = workload::Pattern::kIncast;
+  cfg.antagonist_profile = {4, 0};
+  cfg.topology.edge_propagation = TimePs::from_us(1);
+
+  const SpecParse host = parse_point_spec(point_spec(cfg.host, 0));
+  ASSERT_TRUE(host.ok()) << host.errors.front();
+  EXPECT_EQ(host.spec.config.host.pcie.credit_bytes.count(), 4096);
+  EXPECT_EQ(host.spec.config.host.dram.channels, 2);
+  EXPECT_EQ(host.spec.config.host.swift.host_target.ps(), 12'300'000);
+
+  const SpecParse cluster = parse_point_spec(cluster_point_spec(cfg, 0));
+  ASSERT_TRUE(cluster.ok()) << cluster.errors.front();
+  const ClusterConfig& round = cluster.spec.config;
+  EXPECT_EQ(round.host.pcie.credit_bytes.count(), 4096);
+  EXPECT_EQ(round.host.dram.channels, 2);
+  EXPECT_EQ(round.host.swift.host_target.ps(), 12'300'000);
+  EXPECT_EQ(round.workload.pattern, workload::Pattern::kIncast);
+  EXPECT_EQ(round.antagonist_profile, (std::vector<int>{4, 0}));
+  EXPECT_EQ(round.topology.edge_propagation.ps(), TimePs::from_us(1).ps());
 }
 
 TEST(PointSpec, ParseReportsEveryProblemWithLineNumbers) {
@@ -217,6 +308,35 @@ TEST(PointWorker, ClusterRecordCarriesOneElementPerReceiver) {
   EXPECT_NE(json.find("\"index\": 4"), std::string::npos);
   EXPECT_NE(json.find("\"index\": 5"), std::string::npos);
   EXPECT_NE(json.find("\"cluster.port_drops\""), std::string::npos);
+}
+
+TEST(Supervisor, IsolatedClusterPointMatchesInProcessBitwise) {
+  // An open-loop incast cluster with a nested host param and a
+  // per-receiver antagonist profile: the isolated record must be the
+  // in-process one, byte for byte except wall_seconds (0 in both).
+  ClusterConfig cfg;
+  cfg.host.warmup = TimePs::from_us(200);
+  cfg.host.measure = TimePs::from_us(500);
+  cfg.host.rx_threads = 2;
+  cfg.host.pcie.credit_bytes = Bytes(4096);
+  cfg.topology.leaves = 1;
+  cfg.topology.spines = 1;
+  cfg.topology.hosts_per_leaf = 5;
+  cfg.receivers = 2;
+  cfg.antagonist_profile = {4, 0};
+  cfg.workload.pattern = workload::Pattern::kIncast;
+  cfg.workload.fanout = 2;
+  cfg.workload.rate_per_s = 2e5;
+  ASSERT_TRUE(validate(cfg).empty()) << describe(validate(cfg));
+
+  ClusterExperiment exp(cfg);
+  const ClusterMetrics cm = exp.run();
+  std::ostringstream in_process;
+  write_json(cluster_points(exp, cm, 0), in_process);
+
+  const SupervisorOutcome outcome = Supervisor(base_opts()).run_specs({cluster_point_spec(cfg, 0)});
+  ASSERT_TRUE(outcome.all_ok());
+  EXPECT_EQ(merged(outcome), in_process.str());
 }
 
 TEST(PointWorker, RejectsInvalidConfigAndBadSpec) {
