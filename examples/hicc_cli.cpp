@@ -356,28 +356,9 @@ int run_topology(const Flags& flags, hicc::ClusterConfig cfg, const std::string&
 
   if (!json_path.empty() || !columnar_path.empty()) {
     // One hicc.sweep.v1 point per receiver host (sweep::cluster_points),
-    // each with its slice of the trace probes. Workload runs add the
-    // cluster-merged sketch quantiles as workload.* extras (identical on
-    // every row by construction).
-    std::vector<hicc::sweep::SweepResult> points =
+    // each with its slice of the trace probes.
+    const std::vector<hicc::sweep::SweepResult> points =
         hicc::sweep::cluster_points(exp, cm, 0, &probes);
-    for (hicc::sweep::SweepResult& p : points) {
-      if (cm.workload.enabled) {
-        p.extra["workload.flows_started"] = static_cast<double>(cm.workload.flows_started);
-        p.extra["workload.flows_completed"] =
-            static_cast<double>(cm.workload.flows_completed);
-        p.extra["workload.pool_exhausted"] = static_cast<double>(cm.workload.pool_exhausted);
-        p.extra["workload.active_flows"] = static_cast<double>(cm.workload.active_flows);
-        p.extra["workload.fct_p50_us"] = cm.workload.fct_p50_us;
-        p.extra["workload.fct_p99_us"] = cm.workload.fct_p99_us;
-        p.extra["workload.fct_p999_us"] = cm.workload.fct_p999_us;
-        p.extra["workload.slowdown_p50"] = cm.workload.slowdown_p50;
-        p.extra["workload.slowdown_p99"] = cm.workload.slowdown_p99;
-        p.extra["workload.slowdown_p999"] = cm.workload.slowdown_p999;
-        p.extra["workload.host_delay_p99_us"] = cm.workload.host_delay_p99_us;
-        p.extra["workload.host_delay_p999_us"] = cm.workload.host_delay_p999_us;
-      }
-    }
     if (!json_path.empty()) {
       if (hicc::sweep::save_json(points, json_path)) {
         std::printf("(cluster record written to %s)\n", json_path.c_str());

@@ -8,7 +8,8 @@
 // hicc.sweep.v1 keys in their original order; later keys use
 // validate()'s dotted paths. Fields derived from another
 // (iommu.enabled, nic.ats_enabled, nic.strict_invalidation) have no
-// entry.
+// entry. visit_metrics() and visit_workload() name the record's
+// `metrics` keys and an open-loop cluster run's `workload.*` extras.
 //
 // Record text: integers in decimal, doubles in shortest round-trip
 // form, bools 0/1, times in microseconds, sizes in bytes, rates in
@@ -335,6 +336,70 @@ void visit_cluster(Cluster& c, V&& v) {
   v({"workload.sketch_relative_error",
      {"wl-sketch-error", "A", kOpenLoop, "quantile-sketch relative error (0.01)"}},
     c.workload.sketch_relative_error);
+}
+
+// ------------------------------------------------------ metrics table
+
+/// Calls v(key, value) for every key of a hicc.sweep.v1 record's
+/// `metrics` object, in record order. Values keep their Metrics type:
+/// double, std::int64_t, std::uint64_t, RunStatus or std::string.
+template <typename V>
+void visit_metrics(const Metrics& m, V&& v) {
+  const auto& cls = m.memory.by_class_gbytes_per_sec;
+  v("app_throughput_gbps", m.app_throughput_gbps);
+  v("link_utilization", m.link_utilization);
+  v("drop_rate", m.drop_rate);
+  v("iotlb_misses_per_packet", m.iotlb_misses_per_packet);
+  v("memory_total_gbytes_per_sec", m.memory.total_gbytes_per_sec);
+  v("memory_nic_dma_gbytes_per_sec", cls[static_cast<int>(mem::MemClass::kNicDma)]);
+  v("memory_iommu_walk_gbytes_per_sec", cls[static_cast<int>(mem::MemClass::kIommuWalk)]);
+  v("memory_cpu_copy_gbytes_per_sec", cls[static_cast<int>(mem::MemClass::kCpuCopy)]);
+  v("memory_antagonist_gbytes_per_sec", cls[static_cast<int>(mem::MemClass::kAntagonist)]);
+  v("remote_memory_total_gbytes_per_sec", m.remote_memory.total_gbytes_per_sec);
+  v("host_delay_p50_us", m.host_delay_p50_us);
+  v("host_delay_p99_us", m.host_delay_p99_us);
+  v("host_delay_max_us", m.host_delay_max_us);
+  v("victim_reads", m.victim_reads);
+  v("victim_read_p50_us", m.victim_read_p50_us);
+  v("victim_read_p99_us", m.victim_read_p99_us);
+  v("data_packets_sent", m.data_packets_sent);
+  v("retransmits", m.retransmits);
+  v("rto_fires", m.rto_fires);
+  v("delivered_packets", m.delivered_packets);
+  v("nic_buffer_drops", m.nic_buffer_drops);
+  v("fabric_drops", m.fabric_drops);
+  v("iotlb_misses", m.iotlb_misses);
+  v("iotlb_lookups", m.iotlb_lookups);
+  v("pcie_translation_stalls", m.pcie_translation_stalls);
+  v("pcie_write_buffer_stalls", m.pcie_write_buffer_stalls);
+  v("hol_descriptor_stalls", m.hol_descriptor_stalls);
+  v("avg_cwnd", m.avg_cwnd);
+  v("fault_windows", m.fault_windows);
+  v("fault_drops", m.fault_drops);
+  v("fault_active_us", m.fault_active_us);
+  v("fault_blind_us", m.fault_blind_us);
+  v("run_status", m.run_status);
+  v("run_status_detail", m.run_status_detail);
+  v("simulated_seconds", m.simulated_seconds);
+  v("events_executed", m.events_executed);
+}
+
+/// Calls v(key, value) for every `workload.*` extra of an open-loop
+/// cluster run's records; values are std::int64_t or double.
+template <typename V>
+void visit_workload(const WorkloadMetrics& w, V&& v) {
+  v("workload.flows_started", w.flows_started);
+  v("workload.flows_completed", w.flows_completed);
+  v("workload.pool_exhausted", w.pool_exhausted);
+  v("workload.active_flows", w.active_flows);
+  v("workload.fct_p50_us", w.fct_p50_us);
+  v("workload.fct_p99_us", w.fct_p99_us);
+  v("workload.fct_p999_us", w.fct_p999_us);
+  v("workload.slowdown_p50", w.slowdown_p50);
+  v("workload.slowdown_p99", w.slowdown_p99);
+  v("workload.slowdown_p999", w.slowdown_p999);
+  v("workload.host_delay_p99_us", w.host_delay_p99_us);
+  v("workload.host_delay_p999_us", w.host_delay_p999_us);
 }
 
 }  // namespace hicc::fields

@@ -149,6 +149,8 @@ struct Metrics {
   /// not the window). The only Metrics field tracing may change:
   /// enabling the tracer adds its sampler events here.
   std::uint64_t events_executed = 0;
+
+  bool operator==(const Metrics&) const = default;
 };
 
 }  // namespace hicc

@@ -65,6 +65,8 @@ struct BandwidthReport {
   double read_gbytes_per_sec = 0.0;
   double write_gbytes_per_sec = 0.0;
   std::array<double, kMemClassCount> by_class_gbytes_per_sec{};
+
+  bool operator==(const BandwidthReport&) const = default;
 };
 
 /// The memory bus + controller of one NUMA node.

@@ -175,19 +175,12 @@ std::map<std::string, double> flatten(const SweepResult& r) {
       row[std::string("config.") + f.key] = std::strtod(fields::to_text(value).c_str(), nullptr);
     }
   });
-  const Metrics& m = r.metrics;
-  row["metrics.app_throughput_gbps"] = m.app_throughput_gbps;
-  row["metrics.link_utilization"] = m.link_utilization;
-  row["metrics.drop_rate"] = m.drop_rate;
-  row["metrics.iotlb_misses_per_packet"] = m.iotlb_misses_per_packet;
-  row["metrics.memory_total_gbytes_per_sec"] = m.memory.total_gbytes_per_sec;
-  row["metrics.host_delay_p50_us"] = m.host_delay_p50_us;
-  row["metrics.host_delay_p99_us"] = m.host_delay_p99_us;
-  row["metrics.victim_read_p99_us"] = m.victim_read_p99_us;
-  row["metrics.nic_buffer_drops"] = static_cast<double>(m.nic_buffer_drops);
-  row["metrics.retransmits"] = static_cast<double>(m.retransmits);
-  row["metrics.avg_cwnd"] = m.avg_cwnd;
-  row["metrics.run_status"] = static_cast<double>(static_cast<int>(m.run_status));
+  // Numeric metrics; run_status as its integer code.
+  fields::visit_metrics(r.metrics, [&row](const char* key, const auto& value) {
+    if constexpr (!std::is_same_v<std::remove_cvref_t<decltype(value)>, std::string>) {
+      row[std::string("metrics.") + key] = static_cast<double>(value);
+    }
+  });
   for (const auto& [key, value] : r.extra) row["extra." + key] = value;
   return row;
 }

@@ -51,8 +51,9 @@ class ColumnarTable {
 
 /// Flattens one sweep point to the columnar scalar universe: index,
 /// wall_seconds, a `config.<key>` column for every numeric config field
-/// (core/fields.h; bools as 0/1, units as in the sweep record), the
-/// headline metrics, and every `extra` probe.
+/// (core/fields.h; bools as 0/1, units as in the sweep record), a
+/// `metrics.<key>` column for every numeric metric (run_status as its
+/// integer code), and every `extra` probe.
 [[nodiscard]] std::map<std::string, double> flatten(const SweepResult& r);
 
 /// Writes `results` as one "hicc.sweepc.v1" document (flatten() per

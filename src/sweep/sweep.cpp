@@ -38,6 +38,8 @@ class JsonObject {
   void field(const char* key, std::int64_t v) { next(key); os_ << v; }
   void field(const char* key, std::uint64_t v) { next(key); os_ << v; }
   void field(const char* key, const char* v) { next(key); os_ << '"' << v << '"'; }
+  void field(const char* key, const std::string& v) { field(key, v.c_str()); }
+  void field(const char* key, RunStatus v) { field(key, to_string(v)); }
   /// `json` is already a JSON literal.
   void literal(const char* key, const std::string& json) { next(key); os_ << json; }
   /// Opens a nested object; the caller closes it via the returned
@@ -79,7 +81,7 @@ void write_config(std::ostream& os, const ExperimentConfig& cfg, int indent) {
     } else if constexpr (fields::kNumeric<T>) {
       o.literal(f.key, fields::to_text(value));
     } else {
-      o.field(f.key, fields::to_text(value).c_str());
+      o.field(f.key, fields::to_text(value));
     }
   });
   o.close();
@@ -87,46 +89,7 @@ void write_config(std::ostream& os, const ExperimentConfig& cfg, int indent) {
 
 void write_metrics(std::ostream& os, const Metrics& m, int indent) {
   JsonObject o(os, indent);
-  o.field("app_throughput_gbps", m.app_throughput_gbps);
-  o.field("link_utilization", m.link_utilization);
-  o.field("drop_rate", m.drop_rate);
-  o.field("iotlb_misses_per_packet", m.iotlb_misses_per_packet);
-  o.field("memory_total_gbytes_per_sec", m.memory.total_gbytes_per_sec);
-  o.field("memory_nic_dma_gbytes_per_sec",
-          m.memory.by_class_gbytes_per_sec[static_cast<int>(mem::MemClass::kNicDma)]);
-  o.field("memory_iommu_walk_gbytes_per_sec",
-          m.memory.by_class_gbytes_per_sec[static_cast<int>(mem::MemClass::kIommuWalk)]);
-  o.field("memory_cpu_copy_gbytes_per_sec",
-          m.memory.by_class_gbytes_per_sec[static_cast<int>(mem::MemClass::kCpuCopy)]);
-  o.field("memory_antagonist_gbytes_per_sec",
-          m.memory.by_class_gbytes_per_sec[static_cast<int>(mem::MemClass::kAntagonist)]);
-  o.field("remote_memory_total_gbytes_per_sec", m.remote_memory.total_gbytes_per_sec);
-  o.field("host_delay_p50_us", m.host_delay_p50_us);
-  o.field("host_delay_p99_us", m.host_delay_p99_us);
-  o.field("host_delay_max_us", m.host_delay_max_us);
-  o.field("victim_reads", m.victim_reads);
-  o.field("victim_read_p50_us", m.victim_read_p50_us);
-  o.field("victim_read_p99_us", m.victim_read_p99_us);
-  o.field("data_packets_sent", m.data_packets_sent);
-  o.field("retransmits", m.retransmits);
-  o.field("rto_fires", m.rto_fires);
-  o.field("delivered_packets", m.delivered_packets);
-  o.field("nic_buffer_drops", m.nic_buffer_drops);
-  o.field("fabric_drops", m.fabric_drops);
-  o.field("iotlb_misses", m.iotlb_misses);
-  o.field("iotlb_lookups", m.iotlb_lookups);
-  o.field("pcie_translation_stalls", m.pcie_translation_stalls);
-  o.field("pcie_write_buffer_stalls", m.pcie_write_buffer_stalls);
-  o.field("hol_descriptor_stalls", m.hol_descriptor_stalls);
-  o.field("avg_cwnd", m.avg_cwnd);
-  o.field("fault_windows", m.fault_windows);
-  o.field("fault_drops", m.fault_drops);
-  o.field("fault_active_us", m.fault_active_us);
-  o.field("fault_blind_us", m.fault_blind_us);
-  o.field("run_status", to_string(m.run_status));
-  o.field("run_status_detail", m.run_status_detail.c_str());
-  o.field("simulated_seconds", m.simulated_seconds);
-  o.field("events_executed", m.events_executed);
+  fields::visit_metrics(m, [&o](const char* key, const auto& value) { o.field(key, value); });
   o.close();
 }
 
@@ -283,6 +246,8 @@ std::vector<SweepResult> cluster_points(ClusterExperiment& exp, const ClusterMet
     p.extra["cluster.port_drops"] = static_cast<double>(exp.fabric().host_port_drops(r));
     p.extra["cluster.port_queue_bytes"] =
         static_cast<double>(exp.fabric().host_queue(r).count());
+    auto add = [&p](const char* key, auto value) { p.extra[key] = static_cast<double>(value); };
+    if (cm.workload.enabled) fields::visit_workload(cm.workload, add);
     if (probes == nullptr) continue;
     const std::string own = "trace." + exp.probe_prefix(r);
     for (const auto& [key, value] : probes->extra) {

@@ -122,11 +122,11 @@ void harvest_trace_probes(trace::Tracer* tracer, SweepResult& r);
 /// The hicc.sweep.v1 record of a finished cluster run (what
 /// `hicc_cli --topology` and the point worker emit): one point per
 /// receiver r, indexed first_index + r, with the effective per-host
-/// config, receiver r's Metrics, and extras carrying the host index and
-/// its fabric-port state. `probes`, when non-null, holds a
-/// harvest_trace_probes() of the run's tracer; point r gets the
-/// run-global probes plus its own host's -- those under
-/// exp.probe_prefix(r) -- and no other host's.
+/// config, receiver r's Metrics, and extras carrying the host index,
+/// its fabric-port state and an open-loop run's `workload.*` results.
+/// `probes`, when non-null, holds a harvest_trace_probes() of the run's
+/// tracer; point r gets the run-global probes plus its own host's --
+/// those under exp.probe_prefix(r) -- and no other host's.
 [[nodiscard]] std::vector<SweepResult> cluster_points(ClusterExperiment& exp,
                                                       const ClusterMetrics& cm,
                                                       std::size_t first_index,

@@ -18,7 +18,8 @@
 // exactly. A worker therefore simulates exactly the point the parent
 // described, and its record matches what the in-process SweepRunner or
 // ClusterExperiment would produce for the same point, byte for byte
-// except wall_seconds (pinned by tests/supervisor_test.cpp).
+// except wall_seconds (pinned by tests/supervisor_test.cpp); a cluster
+// record is sweep::cluster_points(), `workload.*` extras included.
 #pragma once
 
 #include <cstdint>

@@ -13,6 +13,7 @@
 #include "core/experiment.h"
 #include "core/validate.h"
 #include "fault/script.h"
+#include "metrics_eq.h"
 #include "trace/trace.h"
 
 namespace hicc {
@@ -34,51 +35,6 @@ ClusterConfig small_cluster() {
   cfg.topology.spines = 2;
   cfg.topology.hosts_per_leaf = 4;
   return cfg;
-}
-
-void expect_bitwise_identical(const mem::BandwidthReport& a, const mem::BandwidthReport& b) {
-  EXPECT_EQ(a.total_gbytes_per_sec, b.total_gbytes_per_sec);
-  EXPECT_EQ(a.read_gbytes_per_sec, b.read_gbytes_per_sec);
-  EXPECT_EQ(a.write_gbytes_per_sec, b.write_gbytes_per_sec);
-  for (std::size_t c = 0; c < a.by_class_gbytes_per_sec.size(); ++c) {
-    EXPECT_EQ(a.by_class_gbytes_per_sec[c], b.by_class_gbytes_per_sec[c]) << "class " << c;
-  }
-}
-
-// Every Metrics field, in declaration order.
-void expect_bitwise_identical(const Metrics& a, const Metrics& b) {
-  EXPECT_EQ(a.app_throughput_gbps, b.app_throughput_gbps);
-  EXPECT_EQ(a.link_utilization, b.link_utilization);
-  EXPECT_EQ(a.drop_rate, b.drop_rate);
-  EXPECT_EQ(a.iotlb_misses_per_packet, b.iotlb_misses_per_packet);
-  expect_bitwise_identical(a.memory, b.memory);
-  EXPECT_EQ(a.host_delay_p50_us, b.host_delay_p50_us);
-  EXPECT_EQ(a.host_delay_p99_us, b.host_delay_p99_us);
-  EXPECT_EQ(a.host_delay_max_us, b.host_delay_max_us);
-  EXPECT_EQ(a.victim_reads, b.victim_reads);
-  EXPECT_EQ(a.victim_read_p50_us, b.victim_read_p50_us);
-  EXPECT_EQ(a.victim_read_p99_us, b.victim_read_p99_us);
-  expect_bitwise_identical(a.remote_memory, b.remote_memory);
-  EXPECT_EQ(a.data_packets_sent, b.data_packets_sent);
-  EXPECT_EQ(a.retransmits, b.retransmits);
-  EXPECT_EQ(a.rto_fires, b.rto_fires);
-  EXPECT_EQ(a.delivered_packets, b.delivered_packets);
-  EXPECT_EQ(a.nic_buffer_drops, b.nic_buffer_drops);
-  EXPECT_EQ(a.fabric_drops, b.fabric_drops);
-  EXPECT_EQ(a.iotlb_misses, b.iotlb_misses);
-  EXPECT_EQ(a.iotlb_lookups, b.iotlb_lookups);
-  EXPECT_EQ(a.pcie_translation_stalls, b.pcie_translation_stalls);
-  EXPECT_EQ(a.pcie_write_buffer_stalls, b.pcie_write_buffer_stalls);
-  EXPECT_EQ(a.hol_descriptor_stalls, b.hol_descriptor_stalls);
-  EXPECT_EQ(a.avg_cwnd, b.avg_cwnd);
-  EXPECT_EQ(a.fault_windows, b.fault_windows);
-  EXPECT_EQ(a.fault_drops, b.fault_drops);
-  EXPECT_EQ(a.fault_active_us, b.fault_active_us);
-  EXPECT_EQ(a.fault_blind_us, b.fault_blind_us);
-  EXPECT_EQ(a.run_status, b.run_status);
-  EXPECT_EQ(a.run_status_detail, b.run_status_detail);
-  EXPECT_EQ(a.simulated_seconds, b.simulated_seconds);
-  EXPECT_EQ(a.events_executed, b.events_executed);
 }
 
 // ------------------------------------------------------ pinned values
@@ -165,17 +121,17 @@ ExperimentConfig with_faults(const char* spec) {
 
 TEST(SingleHostPinned, FaultFreeRunReproducesPinnedMetrics) {
   Experiment exp(small_config());
-  expect_bitwise_identical(exp.run(), pinned_fault_free());
+  EXPECT_TRUE(metrics_eq(exp.run(), pinned_fault_free()));
 }
 
 TEST(SingleHostPinned, SenderUplinkLossReproducesPinnedMetrics) {
   Experiment exp(with_faults("net.loss@300us+200us,link=1,prob=0.2"));
-  expect_bitwise_identical(exp.run(), pinned_sender_uplink_loss());
+  EXPECT_TRUE(metrics_eq(exp.run(), pinned_sender_uplink_loss()));
 }
 
 TEST(SingleHostPinned, AccessRateDowngradeReproducesPinnedMetrics) {
   Experiment exp(with_faults("net.rate@300us+200us,link=access,gbps=25"));
-  expect_bitwise_identical(exp.run(), pinned_access_rate_downgrade());
+  EXPECT_TRUE(metrics_eq(exp.run(), pinned_access_rate_downgrade()));
 }
 
 // ------------------------------------------------------------ mapping
@@ -219,7 +175,7 @@ TEST(ClusterDeterminism, SameSeedReproducesEveryReceiverBitwise) {
   ASSERT_EQ(ma.per_receiver.size(), 2u);
   ASSERT_EQ(mb.per_receiver.size(), 2u);
   for (std::size_t r = 0; r < ma.per_receiver.size(); ++r) {
-    expect_bitwise_identical(ma.per_receiver[r], mb.per_receiver[r]);
+    EXPECT_TRUE(metrics_eq(ma.per_receiver[r], mb.per_receiver[r]));
   }
   EXPECT_EQ(ma.total_fabric_drops, mb.total_fabric_drops);
   EXPECT_EQ(ma.events_executed, mb.events_executed);

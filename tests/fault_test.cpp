@@ -15,6 +15,7 @@
 #include "core/validate.h"
 #include "fault/engine.h"
 #include "fault/script.h"
+#include "metrics_eq.h"
 #include "sweep/sweep.h"
 #include "trace/trace.h"
 
@@ -195,31 +196,6 @@ TEST(Validation, SweepRejectsInvalidPointsUpFront) {
 
 // ------------------------------------------------- no perturbation
 
-void expect_bitwise_identical(const Metrics& a, const Metrics& b) {
-  EXPECT_EQ(a.app_throughput_gbps, b.app_throughput_gbps);
-  EXPECT_EQ(a.link_utilization, b.link_utilization);
-  EXPECT_EQ(a.drop_rate, b.drop_rate);
-  EXPECT_EQ(a.iotlb_misses_per_packet, b.iotlb_misses_per_packet);
-  EXPECT_EQ(a.memory.total_gbytes_per_sec, b.memory.total_gbytes_per_sec);
-  EXPECT_EQ(a.host_delay_p50_us, b.host_delay_p50_us);
-  EXPECT_EQ(a.host_delay_p99_us, b.host_delay_p99_us);
-  EXPECT_EQ(a.host_delay_max_us, b.host_delay_max_us);
-  EXPECT_EQ(a.data_packets_sent, b.data_packets_sent);
-  EXPECT_EQ(a.retransmits, b.retransmits);
-  EXPECT_EQ(a.rto_fires, b.rto_fires);
-  EXPECT_EQ(a.delivered_packets, b.delivered_packets);
-  EXPECT_EQ(a.nic_buffer_drops, b.nic_buffer_drops);
-  EXPECT_EQ(a.fabric_drops, b.fabric_drops);
-  EXPECT_EQ(a.iotlb_misses, b.iotlb_misses);
-  EXPECT_EQ(a.iotlb_lookups, b.iotlb_lookups);
-  EXPECT_EQ(a.pcie_translation_stalls, b.pcie_translation_stalls);
-  EXPECT_EQ(a.pcie_write_buffer_stalls, b.pcie_write_buffer_stalls);
-  EXPECT_EQ(a.hol_descriptor_stalls, b.hol_descriptor_stalls);
-  EXPECT_EQ(a.avg_cwnd, b.avg_cwnd);
-  EXPECT_EQ(a.simulated_seconds, b.simulated_seconds);
-  EXPECT_EQ(a.events_executed, b.events_executed);
-}
-
 TEST(FaultExperiment, EmptyScriptBuildsNoEngine) {
   Experiment exp(small_config());
   EXPECT_EQ(exp.fault_engine(), nullptr);
@@ -237,7 +213,7 @@ TEST(FaultExperiment, IdleScriptIsBitwiseIdenticalToNoEngine) {
   ASSERT_NE(faulted.fault_engine(), nullptr);
   const Metrics mf = faulted.run();
 
-  expect_bitwise_identical(mb, mf);
+  EXPECT_TRUE(metrics_eq(mb, mf));
   EXPECT_EQ(mf.fault_windows, 0);
   EXPECT_EQ(mf.fault_drops, 0);
   EXPECT_EQ(mf.fault_active_us, 0.0);
@@ -254,11 +230,7 @@ TEST(FaultExperiment, SameSeedAndScriptIsDeterministic) {
   Experiment b(cfg);
   const Metrics ma = a.run();
   const Metrics mb = b.run();
-  expect_bitwise_identical(ma, mb);
-  EXPECT_EQ(ma.fault_windows, mb.fault_windows);
-  EXPECT_EQ(ma.fault_drops, mb.fault_drops);
-  EXPECT_EQ(ma.fault_active_us, mb.fault_active_us);
-  EXPECT_EQ(ma.fault_blind_us, mb.fault_blind_us);
+  EXPECT_TRUE(metrics_eq(ma, mb));
   EXPECT_GT(ma.fault_windows, 0);
 }
 

@@ -13,6 +13,7 @@
 #include "core/cluster.h"
 #include "core/validate.h"
 #include "fault/script.h"
+#include "metrics_eq.h"
 #include "sim/parallel.h"
 #include "sim/simulator.h"
 #include "sweep/sweep.h"
@@ -277,35 +278,6 @@ ClusterConfig parallel_cluster(int parallelism) {
   return cfg;
 }
 
-void expect_bitwise_identical(const Metrics& a, const Metrics& b) {
-  EXPECT_EQ(a.app_throughput_gbps, b.app_throughput_gbps);
-  EXPECT_EQ(a.link_utilization, b.link_utilization);
-  EXPECT_EQ(a.drop_rate, b.drop_rate);
-  EXPECT_EQ(a.iotlb_misses_per_packet, b.iotlb_misses_per_packet);
-  EXPECT_EQ(a.memory.total_gbytes_per_sec, b.memory.total_gbytes_per_sec);
-  EXPECT_EQ(a.remote_memory.total_gbytes_per_sec, b.remote_memory.total_gbytes_per_sec);
-  EXPECT_EQ(a.host_delay_p50_us, b.host_delay_p50_us);
-  EXPECT_EQ(a.host_delay_p99_us, b.host_delay_p99_us);
-  EXPECT_EQ(a.host_delay_max_us, b.host_delay_max_us);
-  EXPECT_EQ(a.data_packets_sent, b.data_packets_sent);
-  EXPECT_EQ(a.retransmits, b.retransmits);
-  EXPECT_EQ(a.rto_fires, b.rto_fires);
-  EXPECT_EQ(a.delivered_packets, b.delivered_packets);
-  EXPECT_EQ(a.nic_buffer_drops, b.nic_buffer_drops);
-  EXPECT_EQ(a.fabric_drops, b.fabric_drops);
-  EXPECT_EQ(a.iotlb_misses, b.iotlb_misses);
-  EXPECT_EQ(a.iotlb_lookups, b.iotlb_lookups);
-  EXPECT_EQ(a.pcie_translation_stalls, b.pcie_translation_stalls);
-  EXPECT_EQ(a.pcie_write_buffer_stalls, b.pcie_write_buffer_stalls);
-  EXPECT_EQ(a.hol_descriptor_stalls, b.hol_descriptor_stalls);
-  EXPECT_EQ(a.victim_reads, b.victim_reads);
-  EXPECT_EQ(a.victim_read_p99_us, b.victim_read_p99_us);
-  EXPECT_EQ(a.avg_cwnd, b.avg_cwnd);
-  EXPECT_EQ(a.simulated_seconds, b.simulated_seconds);
-  EXPECT_EQ(a.events_executed, b.events_executed);
-  EXPECT_EQ(a.run_status, b.run_status);
-}
-
 // Runs one traced parallel cluster and returns everything downstream
 // output is built from: the metrics, the full sample stream (what the
 // CSV/Chrome exporters serialize), and the harvested probe map (what
@@ -343,7 +315,7 @@ TEST(ClusterParallelParity, ThreadCountIsBitwiseInvariant) {
   ASSERT_EQ(one.metrics.per_receiver.size(), 2u);
   ASSERT_EQ(four.metrics.per_receiver.size(), 2u);
   for (std::size_t r = 0; r < one.metrics.per_receiver.size(); ++r) {
-    expect_bitwise_identical(one.metrics.per_receiver[r], four.metrics.per_receiver[r]);
+    EXPECT_TRUE(metrics_eq(one.metrics.per_receiver[r], four.metrics.per_receiver[r]));
   }
   EXPECT_EQ(one.metrics.events_executed, four.metrics.events_executed);
   EXPECT_EQ(one.metrics.total_fabric_drops, four.metrics.total_fabric_drops);
@@ -372,7 +344,7 @@ TEST(ClusterParallelParity, SameSeedReproducesParallelRunsBitwise) {
   const ClusterMetrics mb = b.run();
   ASSERT_EQ(ma.per_receiver.size(), mb.per_receiver.size());
   for (std::size_t r = 0; r < ma.per_receiver.size(); ++r) {
-    expect_bitwise_identical(ma.per_receiver[r], mb.per_receiver[r]);
+    EXPECT_TRUE(metrics_eq(ma.per_receiver[r], mb.per_receiver[r]));
   }
   EXPECT_EQ(ma.events_executed, mb.events_executed);
   EXPECT_GT(ma.partitions, 1);
@@ -395,30 +367,7 @@ TEST(ClusterParallelParity, ParallelAgreesWithLegacyOnPhysicalMetrics) {
 
   ASSERT_EQ(ms.per_receiver.size(), mp.per_receiver.size());
   for (std::size_t r = 0; r < ms.per_receiver.size(); ++r) {
-    const Metrics& a = ms.per_receiver[r];
-    const Metrics& b = mp.per_receiver[r];
-    EXPECT_EQ(a.app_throughput_gbps, b.app_throughput_gbps) << r;
-    EXPECT_EQ(a.link_utilization, b.link_utilization) << r;
-    EXPECT_EQ(a.drop_rate, b.drop_rate) << r;
-    EXPECT_EQ(a.data_packets_sent, b.data_packets_sent) << r;
-    EXPECT_EQ(a.delivered_packets, b.delivered_packets) << r;
-    EXPECT_EQ(a.nic_buffer_drops, b.nic_buffer_drops) << r;
-    EXPECT_EQ(a.fabric_drops, b.fabric_drops) << r;
-    EXPECT_EQ(a.retransmits, b.retransmits) << r;
-    EXPECT_EQ(a.rto_fires, b.rto_fires) << r;
-    EXPECT_EQ(a.avg_cwnd, b.avg_cwnd) << r;
-    EXPECT_EQ(a.host_delay_p50_us, b.host_delay_p50_us) << r;
-    EXPECT_EQ(a.host_delay_p99_us, b.host_delay_p99_us) << r;
-    EXPECT_EQ(a.host_delay_max_us, b.host_delay_max_us) << r;
-    EXPECT_EQ(a.iotlb_misses, b.iotlb_misses) << r;
-    EXPECT_EQ(a.iotlb_lookups, b.iotlb_lookups) << r;
-    EXPECT_EQ(a.pcie_translation_stalls, b.pcie_translation_stalls) << r;
-    EXPECT_EQ(a.pcie_write_buffer_stalls, b.pcie_write_buffer_stalls) << r;
-    EXPECT_EQ(a.hol_descriptor_stalls, b.hol_descriptor_stalls) << r;
-    EXPECT_EQ(a.victim_reads, b.victim_reads) << r;
-    EXPECT_EQ(a.victim_read_p99_us, b.victim_read_p99_us) << r;
-    EXPECT_EQ(a.memory.total_gbytes_per_sec, b.memory.total_gbytes_per_sec) << r;
-    EXPECT_EQ(a.simulated_seconds, b.simulated_seconds) << r;
+    EXPECT_TRUE(metrics_eq(ms.per_receiver[r], mp.per_receiver[r], Events::kIgnore)) << r;
   }
   EXPECT_EQ(ms.total_fabric_drops, mp.total_fabric_drops);
   EXPECT_EQ(ms.run_status, RunStatus::kOk);

@@ -339,6 +339,38 @@ TEST(Supervisor, IsolatedClusterPointMatchesInProcessBitwise) {
   EXPECT_EQ(merged(outcome), in_process.str());
 }
 
+TEST(Supervisor, IsolatedOpenLoopPointCarriesWorkloadExtras) {
+  ClusterConfig cfg;
+  cfg.host.warmup = TimePs::from_us(200);
+  cfg.host.measure = TimePs::from_us(500);
+  cfg.host.rx_threads = 2;
+  cfg.topology.leaves = 1;
+  cfg.topology.spines = 1;
+  cfg.topology.hosts_per_leaf = 4;
+  cfg.workload.pattern = workload::Pattern::kIncast;
+  cfg.workload.fanout = 2;
+  cfg.workload.rate_per_s = 2e5;
+  ASSERT_TRUE(validate(cfg).empty()) << describe(validate(cfg));
+
+  ClusterExperiment exp(cfg);
+  const ClusterMetrics cm = exp.run();
+  ASSERT_TRUE(cm.workload.enabled);
+  ASSERT_GT(cm.workload.flows_completed, 0);
+
+  const SupervisorOutcome outcome = Supervisor(base_opts()).run_specs({cluster_point_spec(cfg, 0)});
+  ASSERT_TRUE(outcome.all_ok());
+  const std::string record = merged(outcome);
+  int extras = 0;
+  fields::visit_workload(cm.workload, [&](const char* key, auto value) {
+    std::ostringstream entry;
+    entry << '"' << key << "\": ";
+    put_double(entry, static_cast<double>(value));
+    EXPECT_NE(record.find(entry.str()), std::string::npos) << entry.str();
+    ++extras;
+  });
+  EXPECT_EQ(extras, 12);
+}
+
 TEST(PointWorker, RejectsInvalidConfigAndBadSpec) {
   ExperimentConfig bad = test_points(1)[0];
   bad.rx_threads = 0;
