@@ -194,7 +194,9 @@ void visit_host(Host& c, V&& v) {
       "';'-separated kind@time[+dur][/period][,k=v...],\n"
       "e.g. 'net.loss@1ms+500us/2ms,prob=0.05'"}},
     c.faults);
-  v({"max_events", {"max-events", "N", kRun, "watchdog event budget (0 = unlimited)"}},
+  v({"max_events",
+     {"max-events", "N", kRun,
+      "watchdog budget of executed events, a few dozen per delivered packet (0 = unlimited)"}},
     c.watchdog.max_events);
   v({"max_events_per_timestamp"}, c.watchdog.max_events_per_timestamp);
   v({"trace_enabled"}, c.trace.enabled);

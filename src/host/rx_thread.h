@@ -9,9 +9,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <utility>
 
+#include "common/ring.h"
 #include "common/rng.h"
 #include "common/units.h"
 #include "net/packet.h"
@@ -42,7 +42,7 @@ class RxThread {
 
   /// Completion delivered by the NIC.
   void enqueue(net::Packet p, TimePs nic_arrival) {
-    queue_.emplace_back(std::move(p), nic_arrival);
+    queue_.push_back({std::move(p), nic_arrival});
     maybe_start();
   }
 
@@ -81,7 +81,7 @@ class RxThread {
   RxThreadParams params_;
   Rng rng_;
   ProcessedFn processed_;
-  std::deque<std::pair<net::Packet, TimePs>> queue_;
+  Ring<std::pair<net::Packet, TimePs>> queue_;
   bool busy_ = false;
   bool descheduled_ = false;
   std::int64_t processed_count_ = 0;

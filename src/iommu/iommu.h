@@ -16,9 +16,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 
+#include "common/ring.h"
 #include "common/rng.h"
 #include "common/units.h"
 #include "iommu/lru_cache.h"
@@ -156,7 +156,7 @@ class Iommu {
   LruCache<Iova> pwc_l4_;
   LruCache<Iova> pwc_l3_;
   LruCache<Iova> pwc_l2_;
-  std::deque<Walk> walk_queue_;
+  Ring<Walk> walk_queue_;
   int walkers_busy_ = 0;
   IommuStats stats_;
 };

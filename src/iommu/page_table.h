@@ -9,9 +9,10 @@
 // hicc-lint: hotpath -- steady state must stay allocation-free (DESIGN.md §8).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/units.h"
@@ -88,7 +89,13 @@ class IoPageTable {
     // hicc-lint: allow(hot-vector-growth) -- region registration is
     // setup-time (loose mode pins once); never on the datapath.
     regions_.push_back(r);
-    by_base_[r.base] = static_cast<std::int32_t>(regions_.size()) - 1;
+    const Mapped m{r.base, static_cast<std::int32_t>(regions_.size()) - 1};
+    const auto at = std::lower_bound(by_base_.begin(), by_base_.end(), m);
+    if (at != by_base_.end() && at->base == m.base) {
+      *at = m;  // an empty region shares its successor's base: the later one wins
+    } else {
+      by_base_.insert(at, m);
+    }
     total_mapped_pages_ += r.num_pages();
     return RegionId{static_cast<std::int32_t>(regions_.size()) - 1};
   }
@@ -98,7 +105,8 @@ class IoPageTable {
   void unmap_region(RegionId id) {
     const auto& r = regions_.at(static_cast<std::size_t>(id.index));
     total_mapped_pages_ -= r.num_pages();
-    by_base_.erase(r.base);
+    const auto at = std::lower_bound(by_base_.begin(), by_base_.end(), Mapped{r.base, 0});
+    if (at != by_base_.end() && at->base == r.base) by_base_.erase(at);
   }
 
   [[nodiscard]] const Region& region(RegionId id) const {
@@ -107,10 +115,11 @@ class IoPageTable {
 
   /// Finds the mapped region containing `iova`, if any.
   [[nodiscard]] std::optional<Region> find(Iova iova) const {
-    auto it = by_base_.upper_bound(iova);
+    auto it = std::upper_bound(by_base_.begin(), by_base_.end(), iova,
+                               [](Iova a, const Mapped& m) { return a < m.base; });
     if (it == by_base_.begin()) return std::nullopt;
     --it;
-    const Region& r = regions_[static_cast<std::size_t>(it->second)];
+    const Region& r = regions_[static_cast<std::size_t>(it->region)];
     if (!r.contains(iova)) return std::nullopt;
     return r;
   }
@@ -131,7 +140,14 @@ class IoPageTable {
   // IOVA 0 is left unmapped so a zero address is always a fault.
   Iova next_base_ = 1ull << 21;
   std::vector<Region> regions_;
-  std::map<Iova, std::int32_t> by_base_;
+  /// A mapped region's base and index, kept sorted by base so find()
+  /// is a binary search.
+  struct Mapped {
+    Iova base = 0;
+    std::int32_t region = 0;
+    bool operator<(const Mapped& o) const { return base < o.base; }
+  };
+  std::vector<Mapped> by_base_;
   std::int64_t total_mapped_pages_ = 0;
 };
 

@@ -1,7 +1,6 @@
 // hicc-lint: hotpath -- steady state must stay allocation-free (DESIGN.md §8).
 #include "nic/nic.h"
 
-#include <cassert>
 #include <utility>
 
 namespace hicc::nic {
@@ -151,9 +150,9 @@ void Nic::pump() {
   // Completion-queue writes have priority for credits: they unblock
   // host processing and are tiny.
   while (!cq_pending_.empty() && pcie_.can_send_write(params_.cq_entry_bytes)) {
-    const std::int64_t job_id = cq_pending_.front();
+    const std::int32_t slot = cq_pending_.front();
     cq_pending_.pop_front();
-    start_cq_write(job_id);
+    start_cq_write(slot);
   }
 
   for (;;) {
@@ -183,7 +182,16 @@ void Nic::pump() {
       --q.fetched;
       ensure_descriptor_fetch(thread);
 
-      DmaJob job;
+      std::int32_t slot = free_job_;
+      if (slot >= 0) {
+        free_job_ = dma(slot).next_free;
+      } else {
+        slot = static_cast<std::int32_t>(jobs_.size());
+        // hicc-lint: allow(hot-vector-growth) -- free-listed slab: grows
+        // to the jobs-in-flight high-water mark once, then recycles.
+        jobs_.emplace_back();
+      }
+      DmaJob& job = dma(slot);
       job.first_page = head.first_page;
       job.second_page = head.second_page;
       job.pre_translated = use_ats;
@@ -194,14 +202,14 @@ void Nic::pump() {
       const auto max_payload = pcie_.params().max_payload.count();
       job.tlps_total = static_cast<int>(
           (job.pkt.payload.count() + max_payload - 1) / max_payload);
-      // The job enters the retirement table before its first TLP goes
-      // out: with a credit pool smaller than one packet's TLP stream,
-      // early TLPs retire while later ones still wait for credits.
-      sending_job_ = next_job_id_++;
-      awaiting_retire_.emplace(sending_job_, std::move(job));
+      // One bus train per packet: its completion fires when the last
+      // payload TLP is in memory, which with a credit pool smaller than
+      // the packet's TLP stream can be long after admission.
+      job.train = pcie_.open_train(job.tlps_total, [this, slot] { on_payload_retired(slot); });
+      sending_job_ = slot;
     }
 
-    DmaJob& job = awaiting_retire_.at(sending_job_);
+    DmaJob& job = dma(sending_job_);
     const auto max_payload = pcie_.params().max_payload;
     while (job.tlps_sent < job.tlps_total) {
       const Bytes remaining =
@@ -215,10 +223,7 @@ void Nic::pump() {
       const iommu::Iova iova =
           base + static_cast<iommu::Iova>(job.tlps_sent) * 256 % 4096;
       ++job.tlps_sent;
-      const std::int64_t job_id = sending_job_;
-      pcie_.send_write_tlp(iova, chunk, [this, job_id] {
-        on_payload_tlp_retired(job_id);
-      }, job.pre_translated);
+      pcie_.send_train_tlp(job.train, iova, chunk, job.pre_translated);
     }
 
     // All TLPs are on the PCIe pipe: the packet has left the input
@@ -228,35 +233,26 @@ void Nic::pump() {
   }
 }
 
-void Nic::on_payload_tlp_retired(std::int64_t job_id) {
-  const auto it = awaiting_retire_.find(job_id);
-  assert(it != awaiting_retire_.end());
-  DmaJob& job = it->second;
-  ++job.tlps_retired;
-  // tlps_retired == total implies every TLP was sent (a TLP cannot
-  // retire before it is emitted), so the job is complete.
-  if (job.tlps_retired < job.tlps_total) return;
+void Nic::on_payload_retired(std::int32_t slot) {
   // Payload fully in memory: write the completion entry (credits
   // permitting; otherwise queue it with priority).
   if (pcie_.can_send_write(params_.cq_entry_bytes)) {
-    start_cq_write(job_id);
+    start_cq_write(slot);
   } else {
-    cq_pending_.push_back(job_id);
+    cq_pending_.push_back(slot);
   }
 }
 
-void Nic::start_cq_write(std::int64_t job_id) {
-  const auto it = awaiting_retire_.find(job_id);
-  assert(it != awaiting_retire_.end());
-  Queue& q = queues_[static_cast<std::size_t>(it->second.thread)];
+void Nic::start_cq_write(std::int32_t slot) {
+  Queue& q = queues_[static_cast<std::size_t>(dma(slot).thread)];
   const iommu::Iova cq =
       control_page(q, params_.ring_pages, params_.cq_pages, q.cq_cursor++);
   ++stats_.cq_writes;
-  pcie_.send_write_tlp(cq, params_.cq_entry_bytes, [this, job_id] {
-    const auto jt = awaiting_retire_.find(job_id);
-    assert(jt != awaiting_retire_.end());
-    DmaJob job = std::move(jt->second);
-    awaiting_retire_.erase(jt);
+  pcie_.send_write_tlp(cq, params_.cq_entry_bytes, [this, slot] {
+    DmaJob job = std::move(dma(slot));
+    dma(slot) = DmaJob{};
+    dma(slot).next_free = free_job_;
+    free_job_ = slot;
     ++stats_.delivered;
     stats_.bytes_delivered += job.pkt.payload.count();
     if (params_.strict_invalidation) {

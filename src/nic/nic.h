@@ -20,11 +20,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <unordered_map>
 #include <vector>
 
+#include "common/ring.h"
 #include "common/rng.h"
 #include "common/units.h"
 #include "iommu/iommu.h"
@@ -171,7 +171,8 @@ class Nic {
     bool pre_translated = false;  // ATS: addresses translated on-device
     int tlps_total = 0;
     int tlps_sent = 0;
-    int tlps_retired = 0;
+    pcie::PcieBus::TrainId train;  // the payload TLPs' bus train
+    std::int32_t next_free = -1;
   };
 
   /// Drives descriptor prefetch for one queue.
@@ -179,8 +180,10 @@ class Nic {
   /// Advances the DMA pipeline: CQ writes first, then payload TLPs,
   /// then admits the next buffered packet.
   void pump();
-  void on_payload_tlp_retired(std::int64_t job_id);
-  void start_cq_write(std::int64_t job_id);
+  /// The job's payload train retired: write its completion entry.
+  void on_payload_retired(std::int32_t slot);
+  void start_cq_write(std::int32_t slot);
+  [[nodiscard]] DmaJob& dma(std::int32_t slot) { return jobs_[static_cast<std::size_t>(slot)]; }
 
   [[nodiscard]] iommu::Iova control_page(const Queue& q, int first, int count,
                                          std::int64_t cursor) const;
@@ -201,25 +204,24 @@ class Nic {
   Callbacks cbs_;
 
   std::vector<Queue> queues_;
-  std::deque<Buffered> input_;              // buffered, not yet DMA-started
+  Ring<Buffered> input_;                    // buffered, not yet DMA-started
   Bytes buffer_used_{};
   Bytes buffer_limit_override_{};           // fault hook; 0 = use params_
 
   iommu::LruCache<iommu::Iova> dev_tlb_;    // ATS device TLB
   std::unordered_map<iommu::Iova, bool> ats_pending_;
-  /// Job whose payload TLPs are still being emitted (-1: none). The
-  /// job itself lives in awaiting_retire_ from admission, because with
-  /// small credit pools TLPs can retire before the last one is sent.
-  std::int64_t sending_job_ = -1;
-  std::unordered_map<std::int64_t, DmaJob> awaiting_retire_;
+  /// Job whose payload TLPs are still being emitted (-1: none). Jobs
+  /// live in the free-listed `jobs_` slab from admission to delivery.
+  std::int32_t sending_job_ = -1;
+  std::vector<DmaJob> jobs_;
+  std::int32_t free_job_ = -1;
   /// Tx packets parked while their ACK-buffer fetch is on the PCIe bus.
   /// A free-list slab: the fetch completion captures only `[this,
   /// slot]`, which keeps the per-ACK closure inside the inline buffer
   /// (a by-value Packet capture would not fit a CompletionFn).
   std::vector<net::Packet> tx_stash_;
   std::vector<std::int32_t> tx_free_;
-  std::deque<std::int64_t> cq_pending_;     // jobs whose CQ write awaits credits
-  std::int64_t next_job_id_ = 0;
+  Ring<std::int32_t> cq_pending_;           // jobs whose CQ write awaits credits
   NicStats stats_;
 };
 

@@ -24,12 +24,27 @@
 // Non-posted reads (Rx descriptor fetches, Tx/ACK payload fetches)
 // traverse the same link and ordered pipeline, then complete with a
 // memory read plus the upstream link latency.
+//
+// The model is per TLP; its bookkeeping is applied lazily. A TLP's
+// link arrival and each posted write's retirement get a reserved
+// simulator stamp (sim::Simulator::reserve_seq) instead of an event:
+// the TLP joins the RC queue and the retired bytes leave the write
+// buffer once has_passed() says the stamp is behind the clock. A real
+// event is materialised at the reserved stamp only where the eager
+// event would have changed the outcome -- to wake an idle RC at its
+// head's arrival, to fire a train's completion at the latest retire of
+// its TLPs, and to retry a head stalled on the write buffer at the
+// earliest pending retire -- so every decision, callback and RNG draw
+// happens at exactly the same `(time, seq)` position as with one event
+// per hop. A packet's payload writes form one train: its callback
+// fires once, when the last of its TLPs is in memory.
 // hicc-lint: hotpath -- steady state must stay allocation-free (DESIGN.md §8).
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <vector>
 
+#include "common/ring.h"
 #include "common/units.h"
 #include "iommu/iommu.h"
 #include "mem/ddio.h"
@@ -88,13 +103,31 @@ class PcieBus {
     if (was && !frozen && credits_cb_) credits_cb_();
   }
 
-  /// Emits one posted write TLP. Preconditions: can_send_write().
-  /// `retired` fires when the payload has been written to host memory
-  /// (used for delivery timestamps and completion-queue ordering).
-  /// `pre_translated` marks a TLP whose address the device already
-  /// translated via ATS; the root complex skips the IOMMU for it.
-  void send_write_tlp(iommu::Iova iova, Bytes payload, CompletionFn retired,
+  /// Handle of a train: the posted writes of one DMA (a packet's
+  /// payload), whose completion fires once.
+  struct TrainId {
+    std::int32_t index = -1;
+  };
+
+  /// Opens a train of `tlps` posted writes, to be emitted with
+  /// send_train_tlp(). `retired` fires once, when the last of them has
+  /// been written to host memory (used for delivery timestamps and
+  /// completion-queue ordering).
+  TrainId open_train(int tlps, CompletionFn retired);
+
+  /// Emits the next posted write TLP of `train`. Preconditions:
+  /// can_send_write(). `pre_translated` marks a TLP whose address the
+  /// device already translated via ATS; the root complex skips the
+  /// IOMMU for it.
+  void send_train_tlp(TrainId train, iommu::Iova iova, Bytes payload,
                       bool pre_translated = false);
+
+  /// Emits one posted write TLP as a train of one: `retired` fires when
+  /// its payload has been written to host memory.
+  void send_write_tlp(iommu::Iova iova, Bytes payload, CompletionFn retired,
+                      bool pre_translated = false) {
+    send_train_tlp(open_train(1, std::move(retired)), iova, payload, pre_translated);
+  }
 
   /// Emits one non-posted read (descriptor or Tx payload fetch) of
   /// `payload` bytes; `done` fires when the completion reaches the NIC.
@@ -106,28 +139,64 @@ class PcieBus {
 
   [[nodiscard]] Bytes credits_free() const { return credits_free_; }
   [[nodiscard]] Bytes credits_in_use() const { return params_.credit_bytes - credits_free_; }
-  [[nodiscard]] Bytes write_buffer_used() const { return wb_used_; }
-  [[nodiscard]] std::size_t rc_queue_depth() const { return rc_queue_.size(); }
+  /// Posted bytes in the write buffer that have not retired yet.
+  [[nodiscard]] Bytes write_buffer_used() const;
+  /// TLPs that have arrived at the root complex and not left its queue
+  /// (TLPs still on the link are not counted).
+  [[nodiscard]] std::size_t rc_queue_depth() const;
   [[nodiscard]] const PcieStats& stats() const { return stats_; }
 
  private:
   struct Tlp {
     iommu::Iova iova = 0;
     Bytes payload{};
+    TimePs arrival{};                // reserved link-arrival stamp
+    std::uint64_t arrival_seq = 0;
+    std::int32_t train = -1;         // posted write: its train
     bool is_read = false;
     bool pre_translated = false;
-    CompletionFn done;
+    CompletionFn done;               // read: the completion callback
   };
 
-  /// Places a TLP on the downstream link; it joins the RC queue after
-  /// serialization + propagation.
+  /// A committed write's reserved retirement stamp.
+  struct Retire {
+    TimePs time{};
+    std::uint64_t seq = 0;
+    Bytes payload{};
+    std::int32_t train = -1;
+  };
+
+  /// Posted writes of one DMA. `last` is the latest retire stamp of
+  /// the TLPs committed so far; once all are committed, the completion
+  /// is materialised there (`armed`).
+  struct Train {
+    CompletionFn done;
+    TimePs last{};
+    std::uint64_t last_seq = 0;
+    std::int32_t uncommitted = 0;
+    std::int32_t next_free = -1;
+    bool armed = false;
+  };
+
+  /// Places a TLP on the downstream link, stamped with its arrival at
+  /// the RC queue after serialization + propagation.
   void transmit(Tlp tlp);
-  /// Starts processing the RC queue head if idle.
+  /// Starts processing the RC queue head if idle and arrived; an idle
+  /// RC whose head is still on the link wakes at its arrival stamp.
   void pump_rc();
   /// Head TLP's translation finished; dispatch by type.
   void finish_translation();
   /// Tries to move the head posted write into the write buffer.
   void try_commit_write();
+  /// Applies every retirement whose stamp has passed to wb_used_.
+  void retire_passed();
+  /// Head stalled on the write buffer: wakes it at the earliest
+  /// pending retirement, unless a train completion already fires there.
+  void arm_write_buffer_wake();
+  /// A train's latest retirement: fires its completion, then retries
+  /// a stalled head as that retirement's eager event would have.
+  void complete_train(std::int32_t index);
+  void free_train(std::int32_t index);
 
   sim::Simulator& sim_;
   mem::MemorySystem& mem_;
@@ -138,10 +207,19 @@ class PcieBus {
   Bytes credits_free_;
   bool credits_frozen_ = false;
   TimePs link_free_at_{};
-  std::deque<Tlp> rc_queue_;
+  /// TLPs in link order (arrival stamps ascend): the arrived prefix is
+  /// the RC queue, the rest is still on the link.
+  Ring<Tlp> rc_queue_;
   bool rc_busy_ = false;
+  bool rc_wake_armed_ = false;
   bool head_waiting_wb_ = false;
+  bool wb_wake_armed_ = false;
+  /// Committed bytes, including retirements not yet applied.
   Bytes wb_used_{};
+  /// Min-heap by (time, seq) of retirements not yet applied.
+  std::vector<Retire> retires_;
+  std::vector<Train> trains_;  // free-listed slab
+  std::int32_t free_train_ = -1;
   CompletionFn credits_cb_;
   PcieStats stats_;
 };

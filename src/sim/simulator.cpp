@@ -69,13 +69,10 @@ void Simulator::run_until(TimePs end) {
     }
     if (end < c.time) break;
     if (!guard_event(c.time)) return;  // abort: now_ stays put
-    detach(c);
-    now_ = c.time;
-    ++executed_;
-    node(static_cast<std::uint32_t>(c.slot)).fn();
-    free_node(c.slot);
+    execute(c);
   }
   now_ = end;
+  passed_seq_ = next_seq_ - 1;
 }
 
 }  // namespace hicc::sim

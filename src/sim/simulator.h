@@ -94,6 +94,39 @@ class Simulator {
     return id;
   }
 
+  /// Reserves the next `(time, seq)` ordering stamp without scheduling
+  /// anything. A component that usually only updates bookkeeping at
+  /// some future instant records `(t, reserve_seq())` instead of an
+  /// event, applies the update once has_passed() says the instant is
+  /// behind the clock, and materialises a real event with at_reserved()
+  /// only when one is needed: the order is then exactly what an eager
+  /// at(t, fn) issued at reservation time would have produced.
+  [[nodiscard]] std::uint64_t reserve_seq() { return next_seq_++; }
+
+  /// Schedules `fn` at the reserved stamp `(t, seq)`. The stamp must
+  /// come from reserve_seq(), be materialised at most once and not
+  /// have passed yet (so `t >= now()`).
+  template <typename F>
+  EventId at_reserved(TimePs t, std::uint64_t seq, F&& fn) {
+    static_assert(std::is_invocable_r_v<void, std::decay_t<F>&>,
+                  "event actions take no arguments and return void");
+    assert(seq < next_seq_ && !has_passed(t, seq) && "stamp must be reserved and pending");
+    const EventId id = schedule_stamped(t, seq);
+    node(id.slot).fn = std::forward<F>(fn);
+    return id;
+  }
+
+  /// True when an event stamped `(t, seq)` would already have run:
+  /// it orders before (or is) the executing event. Outside a run loop
+  /// every stamp reserved so far with `t <= now()` has passed -- the
+  /// last run_until() ran everything due -- while a stamp reserved
+  /// afterwards at now() has not (an at(now(), fn) issued then would
+  /// still be pending). After run_one() or an abort, the stamps up to
+  /// the last executed event have passed.
+  [[nodiscard]] bool has_passed(TimePs t, std::uint64_t seq) const {
+    return t < now_ || (t == now_ && seq <= passed_seq_);
+  }
+
   /// Schedules `fn` after a relative delay. Negative delays violate the
   /// contract and are clamped to zero (the event runs at now(), after
   /// already-due events), matching at()'s past-time clamp.
@@ -222,10 +255,26 @@ class Simulator {
     return chunks_[slot >> kChunkBits][slot & kChunkMask];
   }
 
-  /// Allocates a node, stamps it live at `(t, next seq)` and links it
-  /// into the wheel or the far-future heap; the closure is assigned by
-  /// at() afterwards. Defined inline below (hot path).
-  EventId schedule(TimePs t);
+  /// Stamps `t` (clamped to now()) with the next seq and schedules it.
+  EventId schedule(TimePs t) { return schedule_stamped(t < now_ ? now_ : t, next_seq_++); }
+
+  /// Allocates a node, stamps it live at `(t, seq)` and links it into
+  /// the wheel or the far-future heap; the closure is assigned by the
+  /// caller afterwards. Defined inline below (hot path).
+  EventId schedule_stamped(TimePs t, std::uint64_t seq);
+
+  /// Executes the detached candidate in place and reclaims its node.
+  void execute(const Candidate& c) {
+    detach(c);
+    now_ = c.time;
+    passed_seq_ = c.seq;
+    ++executed_;
+    // Chunk addresses are stable, so the closure runs in place -- no
+    // 80-byte move-out per event. The slot is only reclaimed afterwards,
+    // so anything the closure schedules cannot reuse it mid-invoke.
+    node(static_cast<std::uint32_t>(c.slot)).fn();
+    free_node(c.slot);
+  }
 
   std::int32_t alloc_node_slow();
 
@@ -292,6 +341,9 @@ class Simulator {
 
   TimePs now_{};
   std::uint64_t next_seq_ = 1;
+  /// Largest seq at now_ that has run (or, after run_until(), that was
+  /// reserved by its end): the has_passed() horizon.
+  std::uint64_t passed_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::size_t live_ = 0;      // scheduled, not yet run or cancelled
   std::size_t occupied_ = 0;  // slab nodes in use (live + tombstones)
@@ -321,9 +373,7 @@ class Simulator {
 // ---- Hot-path definitions (kept out of the class body for length, in
 // ---- the header for inlining into at()/run loops).
 
-inline EventId Simulator::schedule(TimePs t) {
-  if (t < now_) t = now_;
-  const std::uint64_t seq = next_seq_++;
+inline EventId Simulator::schedule_stamped(TimePs t, std::uint64_t seq) {
   std::int32_t slot = free_head_;
   if (slot != kNil) {
     free_head_ = node(static_cast<std::uint32_t>(slot)).next;
@@ -454,14 +504,7 @@ inline bool Simulator::run_one() {
     return false;
   }
   if (!guard_event(c.time)) return false;  // abort: the event stays pending
-  detach(c);
-  now_ = c.time;
-  ++executed_;
-  // Chunk addresses are stable, so the closure runs in place -- no
-  // 80-byte move-out per event. The slot is only reclaimed afterwards,
-  // so anything the closure schedules cannot reuse it mid-invoke.
-  node(static_cast<std::uint32_t>(c.slot)).fn();
-  free_node(c.slot);
+  execute(c);
   return true;
 }
 

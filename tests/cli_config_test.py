@@ -106,7 +106,7 @@ EXPECTED = {
             "run_status": "ok",
             "run_status_detail": "",
             "simulated_seconds": 0.0015,
-            "events_executed": 165738,
+            "events_executed": 128313,
         },
     },
     "cluster": {
@@ -172,7 +172,7 @@ EXPECTED = {
             "run_status": "ok",
             "run_status_detail": "",
             "simulated_seconds": 0.0015,
-            "events_executed": 92127,
+            "events_executed": 70995,
         },
     },
     "default_measure": {
@@ -238,7 +238,7 @@ EXPECTED = {
             "run_status": "ok",
             "run_status_detail": "",
             "simulated_seconds": 0.02,
-            "events_executed": 976523,
+            "events_executed": 727680,
         },
     },
 }

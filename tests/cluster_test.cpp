@@ -63,7 +63,7 @@ Metrics pinned_fault_free() {
   m.iotlb_lookups = 7602;
   m.avg_cwnd = 4.4256648146802569;
   m.simulated_seconds = 0.0005;
-  m.events_executed = 32854u;
+  m.events_executed = 24501u;
   return m;
 }
 
@@ -87,7 +87,7 @@ Metrics pinned_sender_uplink_loss() {
   m.fault_windows = 1;
   m.fault_active_us = 200;
   m.simulated_seconds = 0.0005;
-  m.events_executed = 31439u;
+  m.events_executed = 23447u;
   return m;
 }
 
@@ -110,7 +110,7 @@ Metrics pinned_access_rate_downgrade() {
   m.fault_windows = 1;
   m.fault_active_us = 200;
   m.simulated_seconds = 0.0005;
-  m.events_executed = 32199u;
+  m.events_executed = 24056u;
   return m;
 }
 ExperimentConfig with_faults(const char* spec) {

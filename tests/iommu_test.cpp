@@ -4,6 +4,10 @@
 // drives Figures 3-5.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -84,6 +88,96 @@ TEST(LruCache, FullyAssociativeLruExactness) {
     }
   }
   EXPECT_EQ(misses, 50);
+}
+
+/// Brute-force reference: per set, the resident keys with their last
+/// use stamp; a full set evicts its smallest stamp.
+class ReferenceLru {
+ public:
+  ReferenceLru(int sets, int ways) : ways_(static_cast<std::size_t>(ways)), sets_(sets) {}
+
+  bool lookup(Iova key) {
+    for (auto& e : set_of(key)) {
+      if (e.first == key) {
+        e.second = ++clock_;
+        return true;
+      }
+    }
+    return false;
+  }
+  bool contains(Iova key) {
+    for (const auto& e : set_of(key)) {
+      if (e.first == key) return true;
+    }
+    return false;
+  }
+  bool insert(Iova key) {
+    if (lookup(key)) return false;
+    auto& set = set_of(key);
+    bool evicted = false;
+    if (set.size() == ways_) {
+      set.erase(std::min_element(set.begin(), set.end(),
+                                 [](const auto& a, const auto& b) { return a.second < b.second; }));
+      evicted = true;
+    }
+    set.emplace_back(key, ++clock_);
+    return evicted;
+  }
+  bool invalidate(Iova key) {
+    auto& set = set_of(key);
+    for (auto it = set.begin(); it != set.end(); ++it) {
+      if (it->first == key) {
+        set.erase(it);
+        return true;
+      }
+    }
+    return false;
+  }
+  void clear() {
+    for (auto& set : sets_) set.clear();
+  }
+  [[nodiscard]] int size() const {
+    std::size_t n = 0;
+    for (const auto& set : sets_) n += set.size();
+    return static_cast<int>(n);
+  }
+
+ private:
+  std::vector<std::pair<Iova, std::uint64_t>>& set_of(Iova key) {
+    return sets_[std::hash<Iova>{}(key) % sets_.size()];
+  }
+  std::size_t ways_;
+  std::vector<std::vector<std::pair<Iova, std::uint64_t>>> sets_;
+  std::uint64_t clock_ = 0;
+};
+
+TEST(LruCache, MatchesBruteForceLruUnderRandomOps) {
+  // Same hit, miss and eviction sequence as the reference for random
+  // inserts, lookups, invalidations and clears over page-aligned keys
+  // (the IOTLB's tags), fully associative and 4-way set associative.
+  for (const int sets : {1, 4}) {
+    const int ways = 32 / sets;
+    LruCache<Iova> cache(sets, ways);
+    ReferenceLru ref(sets, ways);
+    Rng rng(static_cast<std::uint64_t>(sets) * 977);
+    for (int step = 0; step < 20000; ++step) {
+      SCOPED_TRACE(testing::Message() << "sets=" << sets << " step " << step);
+      const Iova key = (1 + rng.below(96)) * (rng.chance(0.5) ? 4096 : (2u << 20));
+      const std::uint64_t op = rng.below(100);
+      if (op < 45) {
+        ASSERT_EQ(cache.lookup(key), ref.lookup(key));
+      } else if (op < 85) {
+        ASSERT_EQ(cache.insert(key), ref.insert(key));
+      } else if (op < 99) {
+        ASSERT_EQ(cache.invalidate(key), ref.invalidate(key));
+      } else {
+        cache.clear();
+        ref.clear();
+      }
+      ASSERT_EQ(cache.contains(key), ref.contains(key));
+      ASSERT_EQ(cache.size(), ref.size());
+    }
+  }
 }
 
 // --------------------------------------------------------- page table

@@ -1,8 +1,10 @@
 // Tests for the PCIe link + root complex: rate math, credit flow
 // control and conservation, ordered-pipeline translation stalls, write
-// buffer backpressure under memory contention, and the read path.
+// buffer backpressure under memory contention, the read path, and the
+// lazily applied link-arrival and retirement bookkeeping.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/rng.h"
@@ -254,6 +256,141 @@ TEST(PcieBus, WalkStallBlocksSubsequentTlps) {
   EXPECT_GE(second, first - TimePs::from_ns(50));
   EXPECT_EQ(h.iommu->stats().misses, 1);
   EXPECT_GE(h.iommu->stats().hits, 1);
+}
+
+TEST(PcieBus, RcQueueDepthExcludesTlpsOnTheLink) {
+  // The first TLP misses the IOTLB and walks, so the ones behind it
+  // queue at the root complex -- each counted only once it arrived.
+  Harness h(/*iommu_on=*/true);
+  const auto rid = h.iommu->map_region(Bytes::mib(4), iommu::PageSize::k2M);
+  const iommu::Iova addr = h.iommu->region(rid).base;
+  const PcieParams p;
+  const TimePs ser = p.link_rate().time_to_send(p.tlp_wire_bytes(256_B));
+  for (int i = 0; i < 3; ++i) h.bus->send_write_tlp(addr, 256_B, nullptr);
+  EXPECT_EQ(h.bus->rc_queue_depth(), 0u);
+  for (int i = 0; i < 3; ++i) {
+    const TimePs arrival = ser * (i + 1) + p.link_latency;
+    h.sim.run_until(arrival - TimePs(1));
+    EXPECT_EQ(h.bus->rc_queue_depth(), static_cast<std::size_t>(i)) << "before TLP " << i;
+    h.sim.run_until(arrival);
+    EXPECT_EQ(h.bus->rc_queue_depth(), static_cast<std::size_t>(i + 1)) << "at TLP " << i;
+  }
+  ASSERT_EQ(h.bus->stats().translation_stalls, 1);
+  h.sim.run_until(100_us);
+  EXPECT_EQ(h.bus->rc_queue_depth(), 0u);
+}
+
+/// A bus with the IOMMU off and DDIO absorbing every write at a fixed
+/// LLC latency, so retirement times follow from commit times.
+struct DdioHarness {
+  explicit DdioHarness(PcieParams params, TimePs llc_latency, Bytes working_set) {
+    iommu::IommuParams ip;
+    ip.enabled = false;
+    iommu.emplace(sim, mem, ip);
+    mem::DdioParams dp;
+    dp.llc_write_latency = llc_latency;
+    ddio.emplace(dp, Rng(9));
+    ddio->set_io_working_set(working_set);
+    bus.emplace(sim, mem, *iommu, params, &*ddio);
+  }
+  sim::Simulator sim;
+  mem::MemorySystem mem{sim, mem::DramParams{}, Rng(7)};
+  std::optional<iommu::Iommu> iommu;
+  std::optional<mem::DdioModel> ddio;
+  std::optional<PcieBus> bus;
+};
+
+TEST(PcieBus, StalledHeadResumesAtFirstRetireThatFreesRoom) {
+  // Room for 300 bytes: a 32-byte write and a 256-byte write commit,
+  // the next 256-byte head stalls. The small write retires first but
+  // frees too little; the head commits exactly when the big one retires.
+  PcieParams p;
+  p.write_buffer_bytes = Bytes(300);
+  const TimePs llc = TimePs::from_ns(500);
+  DdioHarness h(p, llc, Bytes::mib(1));
+  std::vector<TimePs> commits;  // credit returns happen at commit
+  h.bus->on_credits_available([&] { commits.push_back(h.sim.now()); });
+  h.bus->send_write_tlp(0, 32_B, nullptr);
+  h.bus->send_write_tlp(0, 256_B, nullptr);
+  TimePs head_retired{};
+  h.bus->send_write_tlp(0, 256_B, [&] { head_retired = h.sim.now(); });
+  h.sim.run_until(100_us);
+  ASSERT_EQ(commits.size(), 3u);
+  EXPECT_EQ(h.bus->stats().write_buffer_stalls, 1);
+  EXPECT_LT(commits[0] + llc, commits[2]);  // the small retire did not resume it
+  EXPECT_EQ(commits[2], commits[1] + llc);  // the big one did
+  EXPECT_EQ(head_retired, commits[2] + llc);
+  EXPECT_EQ(h.bus->write_buffer_used().count(), 0);
+}
+
+TEST(PcieBus, StalledHeadResumesAtTheEarliestRetire) {
+  // Room for two writes: the third stalls, and the first retirement to
+  // come -- not the last committed one -- lets it in.
+  PcieParams p;
+  p.write_buffer_bytes = Bytes(512);
+  const TimePs llc = TimePs::from_ns(500);
+  DdioHarness h(p, llc, Bytes::mib(1));
+  std::vector<TimePs> commits;
+  h.bus->on_credits_available([&] { commits.push_back(h.sim.now()); });
+  for (int i = 0; i < 3; ++i) h.bus->send_write_tlp(0, 256_B, nullptr);
+  h.sim.run_until(100_us);
+  ASSERT_EQ(commits.size(), 3u);
+  EXPECT_EQ(h.bus->stats().write_buffer_stalls, 1);
+  EXPECT_EQ(commits[2], commits[0] + llc);
+}
+
+TEST(PcieBus, CompletionRunsBeforeTheStalledHeadItFrees) {
+  // The retirement that frees room is also a train's completion: as
+  // with one event per retirement, the callback runs first and the
+  // stalled head commits after it, in the same event.
+  PcieParams p;
+  p.write_buffer_bytes = Bytes(512);
+  const TimePs llc = TimePs::from_ns(500);
+  DdioHarness h(p, llc, Bytes::mib(1));
+  std::vector<char> order;
+  std::vector<TimePs> commits;
+  h.bus->on_credits_available([&] {
+    order.push_back('c');
+    commits.push_back(h.sim.now());
+  });
+  h.bus->send_write_tlp(0, 256_B, [&] { order.push_back('r'); });
+  h.bus->send_write_tlp(0, 256_B, nullptr);
+  h.bus->send_write_tlp(0, 256_B, nullptr);
+  h.sim.run_until(100_us);
+  EXPECT_EQ(order, (std::vector<char>{'c', 'c', 'r', 'c'}));
+  ASSERT_EQ(commits.size(), 3u);
+  EXPECT_EQ(commits[2], commits[0] + llc);
+}
+
+TEST(PcieBus, TrainCompletesAtItsLatestRetire) {
+  // DDIO hits retire at a slow LLC latency, DRAM writes much sooner, so
+  // a train's TLPs retire out of order. Its completion fires once, at
+  // the latest retirement -- when the last of its per-TLP twins on an
+  // identical bus reports.
+  const TimePs llc = TimePs::from_ns(1000);
+  const Bytes half_hits = Bytes::mib(11.2);
+  constexpr int kTlps = 16;
+  DdioHarness train(PcieParams{}, llc, half_hits);
+  DdioHarness single(PcieParams{}, llc, half_hits);
+  int completions = 0;
+  TimePs completed{};
+  const auto id = train.bus->open_train(kTlps, [&] {
+    ++completions;
+    completed = train.sim.now();
+  });
+  std::vector<TimePs> retired(kTlps);
+  for (int i = 0; i < kTlps; ++i) {
+    train.bus->send_train_tlp(id, 0, 256_B);
+    single.bus->send_write_tlp(0, 256_B, [&retired, &single, i] { retired[i] = single.sim.now(); });
+  }
+  train.sim.run_until(100_us);
+  single.sim.run_until(100_us);
+  ASSERT_FALSE(std::is_sorted(retired.begin(), retired.end()));  // out of order
+  ASSERT_GT(train.bus->stats().ddio_write_hits, 0);
+  ASSERT_LT(train.bus->stats().ddio_write_hits, kTlps);
+  EXPECT_EQ(completions, 1);
+  EXPECT_EQ(completed, *std::max_element(retired.begin(), retired.end()));
+  EXPECT_EQ(train.bus->stats().ddio_write_hits, single.bus->stats().ddio_write_hits);
 }
 
 }  // namespace

@@ -130,6 +130,51 @@ TEST(Simulator, PendingCountsUncancelledOnly) {
   EXPECT_EQ(sim.pending(), 0u);
 }
 
+TEST(Simulator, ReservedStampRunsWhereTheEagerEventWould) {
+  // A stamp reserved before a same-time event was scheduled still runs
+  // first, even though it is materialised afterwards -- including from
+  // inside an event that ran in between.
+  Simulator sim;
+  std::vector<int> order;
+  const std::uint64_t seq = sim.reserve_seq();
+  sim.at(5_us, [&] { order.push_back(2); });
+  sim.at(1_us, [&] {
+    order.push_back(0);
+    sim.at_reserved(5_us, seq, [&] { order.push_back(1); });
+  });
+  sim.run_until(10_us);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(sim.executed(), 3u);
+}
+
+TEST(Simulator, HasPassedInsideAndOutsideRunUntil) {
+  Simulator sim;
+  const std::uint64_t early = sim.reserve_seq();   // stamp (2us, early)
+  std::uint64_t mid = 0;
+  const std::uint64_t late = sim.reserve_seq();    // stamp (4us, late)
+  EXPECT_FALSE(sim.has_passed(2_us, early));
+  sim.at(2_us, [&] {
+    // Inside an event: the executing stamp and everything ordered
+    // before it have passed; same-time stamps reserved later have not.
+    mid = sim.reserve_seq();
+    EXPECT_TRUE(sim.has_passed(1_us, late));
+    EXPECT_TRUE(sim.has_passed(2_us, early));
+    EXPECT_FALSE(sim.has_passed(2_us, mid));
+    EXPECT_FALSE(sim.has_passed(4_us, late));
+  });
+  sim.run_until(3_us);
+  // Outside the loop: every stamp reserved so far up to now() has
+  // passed; one reserved afterwards at now() has not.
+  EXPECT_TRUE(sim.has_passed(2_us, mid));
+  EXPECT_TRUE(sim.has_passed(3_us, late));
+  EXPECT_FALSE(sim.has_passed(4_us, late));
+  const std::uint64_t after = sim.reserve_seq();
+  EXPECT_FALSE(sim.has_passed(3_us, after));
+  sim.run_until(4_us);
+  EXPECT_TRUE(sim.has_passed(4_us, late));
+  EXPECT_TRUE(sim.has_passed(3_us, after));
+}
+
 TEST(Simulator, RunOneExecutesExactlyOne) {
   Simulator sim;
   int ran = 0;
