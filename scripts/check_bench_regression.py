@@ -1,150 +1,140 @@
 #!/usr/bin/env python3
-"""Gate engine-bench regressions against the committed baseline.
+"""Gate micro-bench regressions against the committed baseline.
 
 Usage:
     check_bench_regression.py BASELINE.json CURRENT.json \
-        [--benchmark BM_SimulatorScheduleRun] [--threshold 0.25]
+        [--benchmark NAME]... [--threshold 0.25]
 
-Both files are bench records written by a micro-bench binary's
-`--json=PATH`: `hicc.bench.v1` from bench/micro_engine (baseline
-bench/BENCH_ENGINE.json), `hicc.bench.topology.v1` from
-bench/micro_topology (baseline bench/BENCH_TOPOLOGY.json), or
-`hicc.bench.parallel.v1` from bench/micro_parallel (baseline
-bench/BENCH_PARALLEL.json), or `hicc.bench.workload.v1` from
-bench/micro_workload (baseline bench/BENCH_WORKLOAD.json); see
-docs/PERFORMANCE.md. The two files must carry the same schema --
-comparing an engine run against a topology baseline is a tooling
-mistake, not a regression.
+Both files are `hicc.bench.v1` records written by `bench/micro
+--json=PATH`; the committed baseline is bench/BENCH_MICRO.json (see
+docs/PERFORMANCE.md). Every baseline row must be present in the current
+record. `--benchmark` may be repeated; each named row is gated
+(default: BM_SimulatorScheduleRun).
 
 Raw ns/op is not comparable across machines -- CI runners and the
 machine that produced the committed baseline differ in clock speed,
-turbo behavior, and co-tenancy. Every micro_engine run therefore
-includes BM_ReferenceSpin, a pure-ALU spin that measures the machine,
-not the engine. This script compares *normalized* cost,
+turbo behavior, and co-tenancy. Every run therefore includes
+BM_ReferenceSpin, a pure-ALU spin that measures the machine, not the
+simulator. This script compares *normalized* cost,
 
     rel = ns_per_op(target) / ns_per_op(BM_ReferenceSpin)
 
 and fails when the current run's `rel` exceeds the baseline's by more
 than `--threshold` (default 25%).
 
-The target benchmark's allocs_per_op is also gated: the zero-allocation
-steady state is a correctness property of the engine (see
-tests/sim_test.cpp SteadyStateIsAllocationFree), so any drift above
-the baseline + 0.01 fails regardless of speed.
+Each gated row's allocs_per_op is also gated: the zero-allocation
+steady state is a correctness property (see tests/sim_test.cpp
+SteadyStateIsAllocationFree), so any drift above the baseline + 0.01
+fails regardless of speed.
 
-Exit codes: 0 pass, 1 perf/alloc regression, 2 malformed or
-unknown-schema record (an environment/tooling problem, not a
-regression -- CI can distinguish "the engine got slower" from "the
-record is unreadable").
+Exit codes: 0 pass, 1 perf/alloc regression, 2 malformed record -- not
+JSON, wrong schema, a baseline row missing from the current record, a
+gated row missing or with non-positive ns_per_op (a tooling problem,
+not a regression, so CI can tell "got slower" from "unreadable").
 """
 
 import argparse
 import json
 import sys
 
+SCHEMA = "hicc.bench.v1"
 REFERENCE = "BM_ReferenceSpin"
-# Schema tag -> the binary that writes it. Both record shapes are
-# identical; the tag only says which bench family produced the rows.
-SCHEMAS = {
-    "hicc.bench.v1": "micro_engine",
-    "hicc.bench.topology.v1": "micro_topology",
-    "hicc.bench.parallel.v1": "micro_parallel",
-    "hicc.bench.workload.v1": "micro_workload",
-}
 EXIT_REGRESSION = 1
 EXIT_BAD_RECORD = 2
 
 
-def bad_record(path, why, binary="micro_engine"):
+def bad_record(path, why):
     print(f"{path}: {why}\n"
           f"  This is a record problem, not a perf regression. Regenerate with\n"
-          f"    ./build/bench/{binary} --json={path}\n"
-          f"  If the schema was revved intentionally, update SCHEMAS in\n"
-          f"  scripts/check_bench_regression.py and re-record the committed\n"
-          f"  baseline (see docs/PERFORMANCE.md).", file=sys.stderr)
+          f"    ./build/bench/micro --json={path}\n"
+          f"  and, if rows were added or renamed on purpose, re-record the\n"
+          f"  committed baseline (see docs/PERFORMANCE.md).", file=sys.stderr)
     sys.exit(EXIT_BAD_RECORD)
 
 
 def load(path):
-    """Returns (schema, rows-by-name) for one bench record."""
+    """Returns the rows of one bench record, by name."""
     try:
         with open(path) as f:
             record = json.load(f)
-    except json.JSONDecodeError as e:
-        bad_record(path, f"not valid JSON ({e})")
-    if not isinstance(record, dict) or "schema" not in record:
-        bad_record(path, f"no 'schema' field; expected one of "
-                         f"{sorted(SCHEMAS)}")
-    schema = record["schema"]
-    if schema not in SCHEMAS:
-        bad_record(path, f"unknown schema {schema!r} "
-                         f"(this script understands {sorted(SCHEMAS)})")
-    binary = SCHEMAS[schema]
-    if not isinstance(record.get("benchmarks"), list):
-        bad_record(path, f"schema is {schema!r} but 'benchmarks' is missing "
-                         f"or not a list", binary)
-    rows = {row["name"]: row for row in record["benchmarks"]}
-    if not rows:
-        bad_record(path, "no benchmark rows", binary)
-    return schema, rows
+    except (OSError, json.JSONDecodeError) as e:
+        bad_record(path, f"cannot read a JSON record ({e})")
+    schema = record.get("schema") if isinstance(record, dict) else None
+    if schema != SCHEMA:
+        bad_record(path, f"schema is {schema!r}, expected {SCHEMA!r}")
+    rows = record.get("benchmarks")
+    if not isinstance(rows, list) or not rows:
+        bad_record(path, "'benchmarks' is missing, empty or not a list")
+    try:
+        return {row["name"]: row for row in rows}
+    except (KeyError, TypeError):
+        bad_record(path, "a benchmark row has no 'name'")
 
 
 def pick(rows, name, path):
     if name not in rows:
-        sys.exit(f"{path}: benchmark {name!r} missing (have: {sorted(rows)})")
+        bad_record(path, f"benchmark {name!r} missing (have: {sorted(rows)})")
     row = rows[name]
-    if row["ns_per_op"] <= 0:
-        sys.exit(f"{path}: {name} has non-positive ns_per_op")
+    if not row.get("ns_per_op", 0) > 0:
+        bad_record(path, f"{name} has non-positive ns_per_op")
     return row
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("baseline")
-    ap.add_argument("current")
-    ap.add_argument("--benchmark", default="BM_SimulatorScheduleRun")
-    ap.add_argument("--threshold", type=float, default=0.25,
-                    help="allowed fractional regression in normalized ns/op")
-    args = ap.parse_args()
-
-    base_schema, base = load(args.baseline)
-    cur_schema, cur = load(args.current)
-    if base_schema != cur_schema:
-        bad_record(args.current,
-                   f"schema {cur_schema!r} does not match the baseline's "
-                   f"{base_schema!r} ({args.baseline})", SCHEMAS[cur_schema])
-
-    base_ref = pick(base, REFERENCE, args.baseline)
-    cur_ref = pick(cur, REFERENCE, args.current)
-    base_row = pick(base, args.benchmark, args.baseline)
-    cur_row = pick(cur, args.benchmark, args.current)
-
-    base_rel = base_row["ns_per_op"] / base_ref["ns_per_op"]
-    cur_rel = cur_row["ns_per_op"] / cur_ref["ns_per_op"]
+def regressed(name, base_row, cur_row, base_ref, cur_ref, threshold):
+    """Prints one gated row's comparison; returns True if it regressed."""
+    base_rel = base_row["ns_per_op"] / base_ref
+    cur_rel = cur_row["ns_per_op"] / cur_ref
     ratio = cur_rel / base_rel
-
-    print(f"{args.benchmark}:")
+    print(f"{name}:")
     print(f"  baseline: {base_row['ns_per_op']:8.2f} ns/op "
-          f"(ref {base_ref['ns_per_op']:.2f} ns -> rel {base_rel:.4f})")
+          f"(ref {base_ref:.2f} ns -> rel {base_rel:.4f})")
     print(f"  current:  {cur_row['ns_per_op']:8.2f} ns/op "
-          f"(ref {cur_ref['ns_per_op']:.2f} ns -> rel {cur_rel:.4f})")
-    print(f"  normalized ratio: {ratio:.3f} "
-          f"(fail above {1 + args.threshold:.3f})")
+          f"(ref {cur_ref:.2f} ns -> rel {cur_rel:.4f})")
+    print(f"  normalized ratio: {ratio:.3f} (fail above {1 + threshold:.3f})")
 
     failed = False
-    if ratio > 1 + args.threshold:
-        print(f"FAIL: {args.benchmark} regressed "
-              f"{(ratio - 1) * 100:.1f}% (normalized) vs baseline")
+    if ratio > 1 + threshold:
+        print(f"FAIL: {name} regressed {(ratio - 1) * 100:.1f}% "
+              f"(normalized) vs baseline")
         failed = True
 
     base_allocs = base_row.get("allocs_per_op", 0.0)
     cur_allocs = cur_row.get("allocs_per_op", 0.0)
     print(f"  allocs_per_op: baseline {base_allocs:.4f}, current {cur_allocs:.4f}")
     if cur_allocs > base_allocs + 0.01:
-        print(f"FAIL: {args.benchmark} allocates on the hot path "
+        print(f"FAIL: {name} allocates on the hot path "
               f"({cur_allocs:.4f}/op vs baseline {base_allocs:.4f}/op)")
         failed = True
+    return failed
 
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("baseline")
+    ap.add_argument("current")
+    ap.add_argument("--benchmark", action="append",
+                    help="row to gate; repeat to gate several "
+                         "(default: BM_SimulatorScheduleRun)")
+    ap.add_argument("--threshold", type=float, default=0.25,
+                    help="allowed fractional regression in normalized ns/op")
+    args = ap.parse_args()
+
+    base = load(args.baseline)
+    cur = load(args.current)
+    missing = sorted(set(base) - set(cur))
+    if missing:
+        bad_record(args.current, f"baseline rows missing: {missing}")
+
+    # Validate every row before printing any comparison.
+    base_ref = pick(base, REFERENCE, args.baseline)["ns_per_op"]
+    cur_ref = pick(cur, REFERENCE, args.current)["ns_per_op"]
+    gated = [(name, pick(base, name, args.baseline), pick(cur, name, args.current))
+             for name in args.benchmark or ["BM_SimulatorScheduleRun"]]
+
+    failed = False
+    for name, base_row, cur_row in gated:
+        failed |= regressed(name, base_row, cur_row, base_ref, cur_ref,
+                            args.threshold)
     if failed:
         sys.exit(EXIT_REGRESSION)
     print("OK")

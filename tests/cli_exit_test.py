@@ -6,7 +6,8 @@ exit code 1 (usage, sweep/worker.h kExitUsage) instead of running the
 defaults; a well-formed flag the config rejects, an unknown enum value
 and a bad --topology or --antagonist-profile stay exit code 2
 (kExitConfigInvalid); a bad --faults script is exit code 3
-(kExitFaultParse).
+(kExitFaultParse); a run the event-budget watchdog aborts is exit code
+4 (kExitAborted).
 
 Usage: cli_exit_test.py <path-to-hicc_cli-binary>
 """
@@ -35,6 +36,8 @@ CASES = [
     (2, ["--topology=2x2x8", "--workload=bogus"]),
     (2, ["--topology=2x2x8", "--antagonist-profile=x"]),
     (3, QUICK + ["--faults=mem.antagonist"]),        # no @time
+    (4, ["--threads=8", "--senders=8", "--warmup-ms=2", "--measure-ms=5",
+         "--max-events=20000"]),                     # watchdog abort
 ]
 
 
