@@ -10,6 +10,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <utility>
@@ -19,9 +20,12 @@ namespace hicc {
 
 /// FIFO of default-constructible, move-assignable `T`. Elements are
 /// addressed front-first: `(*this)[0]` is front(). A push may move
-/// every element (growth); references are stable otherwise.
-template <typename T>
+/// every element (growth); references are stable otherwise. The first
+/// push allocates `MinCapacity` (a power of two) slots.
+template <typename T, std::size_t MinCapacity = 16>
 class Ring {
+  static_assert(std::has_single_bit(MinCapacity), "Ring capacity must be a power of two");
+
  public:
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] std::size_t size() const { return size_; }
@@ -31,6 +35,10 @@ class Ring {
     return slots_[head_];
   }
   [[nodiscard]] const T& operator[](std::size_t i) const {
+    assert(i < size_);
+    return slots_[(head_ + i) & (slots_.size() - 1)];
+  }
+  [[nodiscard]] T& operator[](std::size_t i) {
     assert(i < size_);
     return slots_[(head_ + i) & (slots_.size() - 1)];
   }
@@ -56,10 +64,8 @@ class Ring {
     std::rotate(slots_.begin(), slots_.begin() + static_cast<std::ptrdiff_t>(head_),
                 slots_.end());
     head_ = 0;
-    slots_.resize(slots_.empty() ? kMinCapacity : 2 * slots_.size());
+    slots_.resize(slots_.empty() ? MinCapacity : 2 * slots_.size());
   }
-
-  static constexpr std::size_t kMinCapacity = 16;
 
   std::vector<T> slots_;  // capacity == size(), a power of two (or 0)
   std::size_t head_ = 0;

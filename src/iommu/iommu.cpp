@@ -76,10 +76,13 @@ std::optional<TimePs> Iommu::try_translate(Iova iova) {
 }
 
 void Iommu::translate_slow(Iova iova, sim::InlineCallback<void()> done) {
+  // try_translate() just found this region, so find() hits its memo.
   const auto region = table_.find(iova);
   Walk walk;
-  walk.iova = iova;
+  walk.page = region ? IoPageTable::page_base(*region, iova) : iova;
+  walk.unmaps = table_.unmap_count();
   walk.page_size = region ? region->page_size : PageSize::k4K;
+  walk.resolved = region.has_value();
   walk.done = std::move(done);
   walk_queue_.push_back(std::move(walk));
   pump_walkers();
@@ -88,7 +91,7 @@ void Iommu::translate_slow(Iova iova, sim::InlineCallback<void()> done) {
 void Iommu::invalidate_page_async(Iova iova) {
   (void)invalidate_page(iova);  // entry disappears immediately
   Walk inval;
-  inval.iova = iova;
+  inval.page = iova;
   inval.is_invalidation = true;
   walk_queue_.push_back(std::move(inval));
   pump_walkers();
@@ -127,10 +130,10 @@ void Iommu::pump_walkers() {
     const int leaf = (walk.page_size == PageSize::k4K) ? 1 : 2;
     for (int level = 4; level >= leaf; --level) {
       bool cached = false;
-      if (level == 4 && params_.pwc_l4_entries > 0) cached = pwc_l4_.lookup(pwc_tag(walk.iova, 4));
-      if (level == 3 && params_.pwc_l3_entries > 0) cached = pwc_l3_.lookup(pwc_tag(walk.iova, 3));
+      if (level == 4 && params_.pwc_l4_entries > 0) cached = pwc_l4_.lookup(pwc_tag(walk.page, 4));
+      if (level == 3 && params_.pwc_l3_entries > 0) cached = pwc_l3_.lookup(pwc_tag(walk.page, 3));
       if (level == 2 && leaf != 2 && params_.pwc_l2_entries > 0) {
-        cached = pwc_l2_.lookup(pwc_tag(walk.iova, 2));
+        cached = pwc_l2_.lookup(pwc_tag(walk.page, 2));
       }
       if (level == leaf || !cached) {
         walk.levels[walk.num_levels++] = static_cast<std::int8_t>(level);
@@ -143,16 +146,21 @@ void Iommu::pump_walkers() {
 void Iommu::walk_step(Walk walk) {
   if (walk.next_level >= walk.num_levels) {
     // Walk complete: install the leaf in the IOTLB and the traversed
-    // upper levels in the page-walk caches.
-    const auto region = table_.find(walk.iova);
-    if (region) iotlb_.insert(IoPageTable::page_base(*region, walk.iova));
+    // upper levels in the page-walk caches. The leaf is `page` unless
+    // the walk began unresolved or an unmap ran since: then resolve it
+    // again, and install nothing if its region is gone.
+    if (walk.resolved && walk.unmaps == table_.unmap_count()) {
+      iotlb_.insert(walk.page);
+    } else if (const auto region = table_.find(walk.page)) {
+      iotlb_.insert(IoPageTable::page_base(*region, walk.page));
+    }
     const int leaf = (walk.page_size == PageSize::k4K) ? 1 : 2;
     for (std::uint8_t i = 0; i < walk.num_levels; ++i) {
       const int level = walk.levels[i];
       if (level == leaf) continue;
-      if (level == 4) pwc_l4_.insert(pwc_tag(walk.iova, 4));
-      if (level == 3) pwc_l3_.insert(pwc_tag(walk.iova, 3));
-      if (level == 2) pwc_l2_.insert(pwc_tag(walk.iova, 2));
+      if (level == 4) pwc_l4_.insert(pwc_tag(walk.page, 4));
+      if (level == 3) pwc_l3_.insert(pwc_tag(walk.page, 3));
+      if (level == 2) pwc_l2_.insert(pwc_tag(walk.page, 2));
     }
     ++stats_.walks_completed;
     --walkers_busy_;
@@ -170,8 +178,9 @@ void Iommu::walk_step(Walk walk) {
           ? params_.pt_cache_latency
           : mem_.request(mem::MemClass::kIommuWalk, mem::kCacheLine, true);
   ++walk.next_level;
-  // `[this, walk]` is 72 bytes: the whole chained walk state rides in
-  // the event node's inline buffer.
+  // `[this, walk]` is 80 bytes: the whole chained walk state rides in
+  // the event node's inline buffer, which it fills.
+  static_assert(sizeof(Walk) + sizeof(this) <= 80, "walk closure must fit InlineAction");
   sim_.after(latency, [this, walk = std::move(walk)]() mutable {
     walk_step(std::move(walk));
   });

@@ -133,8 +133,14 @@ class Iommu {
   /// the whole Walk rides inside an event closure's inline buffer --
   /// no per-walk heap allocation.
   struct Walk {
-    Iova iova = 0;
+    /// The page base of the translated IOVA when `resolved`, else the
+    /// IOVA itself. Either way it selects the same upper-level entries.
+    Iova page = 0;
+    /// The page table's unmap_count() when the walk was queued.
+    std::uint32_t unmaps = 0;
     PageSize page_size = PageSize::k4K;
+    /// `page` was resolved against a mapped region.
+    bool resolved = false;
     bool is_invalidation = false;
     std::uint8_t num_levels = 0;
     std::uint8_t next_level = 0;  // index into `levels` of the next read

@@ -97,6 +97,7 @@ class IoPageTable {
       by_base_.insert(at, m);
     }
     total_mapped_pages_ += r.num_pages();
+    last_found_ = kNoRegion;
     return RegionId{static_cast<std::int32_t>(regions_.size()) - 1};
   }
 
@@ -107,29 +108,41 @@ class IoPageTable {
     total_mapped_pages_ -= r.num_pages();
     const auto at = std::lower_bound(by_base_.begin(), by_base_.end(), Mapped{r.base, 0});
     if (at != by_base_.end() && at->base == r.base) by_base_.erase(at);
+    last_found_ = kNoRegion;
+    ++unmap_count_;
   }
 
   [[nodiscard]] const Region& region(RegionId id) const {
     return regions_.at(static_cast<std::size_t>(id.index));
   }
 
-  /// Finds the mapped region containing `iova`, if any.
+  /// Finds the mapped region containing `iova`, if any. The last region
+  /// found is remembered, so a run of lookups in one region (a packet's
+  /// TLPs, a walk's start and end) skips the binary search.
   [[nodiscard]] std::optional<Region> find(Iova iova) const {
+    if (last_found_ != kNoRegion) {
+      const Region& r = regions_[static_cast<std::size_t>(last_found_)];
+      if (r.contains(iova)) return r;
+    }
     auto it = std::upper_bound(by_base_.begin(), by_base_.end(), iova,
                                [](Iova a, const Mapped& m) { return a < m.base; });
     if (it == by_base_.begin()) return std::nullopt;
     --it;
     const Region& r = regions_[static_cast<std::size_t>(it->region)];
     if (!r.contains(iova)) return std::nullopt;
+    last_found_ = it->region;
     return r;
   }
 
   /// IOVA rounded down to its page base (the IOTLB tag), given the
-  /// owning region's page size.
+  /// owning region's page size (a power of two).
   [[nodiscard]] static Iova page_base(const Region& r, Iova iova) {
-    const auto psz = static_cast<Iova>(page_bytes(r.page_size).count());
-    return iova / psz * psz;
+    return iova & ~(static_cast<Iova>(page_bytes(r.page_size).count()) - 1);
   }
+
+  /// Number of unmap_region() calls so far: a translation resolved
+  /// before the count last moved may name a region that is gone.
+  [[nodiscard]] std::uint32_t unmap_count() const { return unmap_count_; }
 
   /// Total leaf pages currently mapped (the IOTLB working-set bound).
   [[nodiscard]] std::int64_t total_mapped_pages() const { return total_mapped_pages_; }
@@ -149,6 +162,11 @@ class IoPageTable {
   };
   std::vector<Mapped> by_base_;
   std::int64_t total_mapped_pages_ = 0;
+  static constexpr std::int32_t kNoRegion = -1;
+  /// Index of the region find() last returned (a memo: map and unmap
+  /// reset it, so it always names a mapped region).
+  mutable std::int32_t last_found_ = kNoRegion;
+  std::uint32_t unmap_count_ = 0;
 };
 
 }  // namespace hicc::iommu

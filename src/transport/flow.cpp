@@ -49,7 +49,7 @@ void SenderFlow::try_send() {
     const double w = cc_->cwnd();
     const std::size_t window =
         w >= 1.0 ? static_cast<std::size_t>(w) : std::size_t{1};
-    if (outstanding_.size() >= window) return;
+    if (outstanding_ >= window) return;
     if (w < 1.0 && sim_.now() < next_pace_at_) {
       // Paced sub-1 window: rearm the pacing timer for the next slot.
       if (!pace_timer_.valid()) {
@@ -76,8 +76,13 @@ void SenderFlow::emit(std::int64_t seq, bool retransmission) {
   p.payload = wire_.mtu_payload;
   p.wire = wire_.data_wire();
   p.sent_at = sim_.now();
-  outstanding_[seq] = sim_.now();
-  if (retransmission) ++stats_.retransmits;
+  if (retransmission) {
+    window_[static_cast<std::size_t>(seq - window_base_)] = sim_.now();
+    ++stats_.retransmits;
+  } else {
+    window_.push_back(sim_.now());
+    ++outstanding_;
+  }
   // A false return means the sender uplink dropped it; the RTO will
   // recover (this does not occur in the paper's uncongested fabric).
   (void)send_(std::move(p));
@@ -85,26 +90,34 @@ void SenderFlow::emit(std::int64_t seq, bool retransmission) {
 
 void SenderFlow::on_ack(const net::Packet& ack) {
   ++stats_.acks_received;
-  const auto it = outstanding_.find(ack.seq);
-  if (it != outstanding_.end()) {
+  const std::int64_t at = ack.seq - window_base_;
+  if (at >= 0 && at < static_cast<std::int64_t>(window_.size()) &&
+      window_[static_cast<std::size_t>(at)] != kAcked) {
     const TimePs rtt = sim_.now() - ack.sent_at;
     srtt_ = srtt_ == TimePs(0) ? rtt : TimePs((srtt_.ps() * 7 + rtt.ps()) / 8);
     cc_->on_ack(AckInfo{rtt, ack.echoed_host_delay});
-    outstanding_.erase(it);
+    window_[static_cast<std::size_t>(at)] = kAcked;
+    --outstanding_;
+    while (!window_.empty() && window_.front() == kAcked) {
+      window_.pop_front();
+      ++window_base_;
+    }
   }
   highest_acked_ = std::max(highest_acked_, ack.seq);
 
   // Fast retransmit: outstanding sequences overtaken by kReorderThreshold
-  // newer acknowledgments are presumed lost. outstanding_ is ordered by
+  // newer acknowledgments are presumed lost. window_ is ordered by
   // sequence, so candidates sit at the front; retransmit at most a couple
   // per ack to avoid bursts.
   int budget = 2;
-  for (auto cand = outstanding_.begin(); cand != outstanding_.end() && budget > 0; ++cand) {
-    if (cand->first + kReorderThreshold > highest_acked_) break;
-    const TimePs since_tx = sim_.now() - cand->second;
+  for (std::size_t i = 0; i < window_.size() && budget > 0; ++i) {
+    const std::int64_t seq = window_base_ + static_cast<std::int64_t>(i);
+    if (seq + kReorderThreshold > highest_acked_) break;
+    if (window_[i] == kAcked) continue;
+    const TimePs since_tx = sim_.now() - window_[i];
     if (since_tx < (srtt_ == TimePs(0) ? kDefaultSrtt : srtt_)) continue;  // just retransmitted
     cc_->on_loss();
-    emit(cand->first, /*retransmission=*/true);
+    emit(seq, /*retransmission=*/true);
     --budget;
   }
   try_send();
@@ -117,14 +130,12 @@ void SenderFlow::on_host_signal() {
 void SenderFlow::check_rto() {
   const TimePs deadline = rto();
   int budget = 4;
-  for (auto& [seq, sent_at] : outstanding_) {
-    if (budget == 0) break;
-    if (sim_.now() - sent_at > deadline) {
-      ++stats_.rto_fires;
-      cc_->on_loss();
-      emit(seq, /*retransmission=*/true);
-      --budget;
-    }
+  for (std::size_t i = 0; i < window_.size() && budget > 0; ++i) {
+    if (window_[i] == kAcked || sim_.now() - window_[i] <= deadline) continue;
+    ++stats_.rto_fires;
+    cc_->on_loss();
+    emit(window_base_ + static_cast<std::int64_t>(i), /*retransmission=*/true);
+    --budget;
   }
   try_send();
 }

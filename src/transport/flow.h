@@ -11,9 +11,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 
+#include "common/ring.h"
 #include "common/rng.h"
 #include "common/units.h"
 #include "net/packet.h"
@@ -55,7 +55,7 @@ class SenderFlow {
 
   [[nodiscard]] double cwnd() const { return cc_->cwnd(); }
   [[nodiscard]] std::int64_t pending() const { return pending_new_; }
-  [[nodiscard]] std::size_t outstanding() const { return outstanding_.size(); }
+  [[nodiscard]] std::size_t outstanding() const { return outstanding_; }
   [[nodiscard]] const FlowStats& stats() const { return stats_; }
   [[nodiscard]] CongestionControl& cc() { return *cc_; }
   [[nodiscard]] TimePs srtt() const { return srtt_; }
@@ -78,8 +78,15 @@ class SenderFlow {
 
   std::int64_t next_seq_ = 0;
   std::int64_t pending_new_ = 0;
-  /// seq -> time of the most recent transmission.
-  std::map<std::int64_t, TimePs> outstanding_;
+  /// Time of the most recent transmission of each sequence in
+  /// [window_base_, next_seq_), front-first; kAcked marks one already
+  /// acknowledged. The front is never acknowledged, so the ring spans
+  /// the oldest outstanding sequence to the newest; it starts at one
+  /// slot and doubles only to that span's high-water mark.
+  Ring<TimePs, 1> window_;
+  std::int64_t window_base_ = 0;
+  /// Unacknowledged sequences in window_ (what the window limits).
+  std::size_t outstanding_ = 0;
   std::int64_t highest_acked_ = -1;
   TimePs srtt_{};
   TimePs next_pace_at_{};
@@ -90,6 +97,7 @@ class SenderFlow {
   /// Packets acknowledged out of order beyond this gap trigger fast
   /// retransmit of older outstanding sequences.
   static constexpr std::int64_t kReorderThreshold = 3;
+  static constexpr TimePs kAcked{-1};
 };
 
 }  // namespace hicc::transport

@@ -22,7 +22,7 @@ BASELINE = os.path.join(ROOT, "bench", "BENCH_MICRO.json")
 # The rows the bench-smoke CI job gates.
 CI_GATED = ["BM_SimulatorScheduleRun", "BM_ClosFabricForward",
             "BM_ParallelWindowBarrier/1", "BM_FlowChurn",
-            "BM_SketchInsertMerge"]
+            "BM_SketchInsertMerge", "BM_IotlbThrash"]
 
 
 def record(schema="hicc.bench.v1", **rows):

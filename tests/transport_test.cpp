@@ -287,6 +287,36 @@ TEST(SenderFlow, NoRetransmitWithoutGap) {
   EXPECT_EQ(h.flow->outstanding(), 0u);
 }
 
+TEST(SenderFlow, RetransmitsOnlyUnackedSequencesAcrossHoles) {
+  FlowHarness h(8.0);
+  h.flow->enqueue_packets(8);
+  ASSERT_EQ(h.sent.size(), 8u);
+  h.sim.run_until(100_us);
+  // 0 and 3 are lost; the acknowledged 1, 2 and 4..7 leave holes
+  // behind the oldest outstanding sequence.
+  for (const int i : {1, 2, 4, 5, 6, 7}) {
+    h.flow->on_ack(h.make_ack(h.sent[static_cast<std::size_t>(i)]));
+  }
+  h.flow->on_ack(h.make_ack(h.sent[5]));  // a duplicate changes nothing
+  EXPECT_EQ(h.flow->stats().acks_received, 7);
+  EXPECT_EQ(h.flow->outstanding(), 2u);
+  auto retransmitted = [&] {
+    std::vector<std::int64_t> seqs;
+    for (std::size_t i = 8; i < h.sent.size(); ++i) seqs.push_back(h.sent[i].seq);
+    return seqs;
+  };
+  // Fast retransmit resends exactly the two gaps, oldest first.
+  EXPECT_EQ(retransmitted(), (std::vector<std::int64_t>{0, 3}));
+  // The RTO resends only them too, however often it fires.
+  h.sim.run_until(5_ms);
+  EXPECT_GE(h.flow->stats().rto_fires, 2);
+  for (const std::int64_t seq : retransmitted()) EXPECT_TRUE(seq == 0 || seq == 3) << seq;
+  EXPECT_EQ(h.flow->outstanding(), 2u);
+  h.flow->on_ack(h.make_ack(h.sent[3]));
+  h.flow->on_ack(h.make_ack(h.sent[0]));
+  EXPECT_EQ(h.flow->outstanding(), 0u);
+}
+
 // -------------------------------------------------------- SenderHost
 
 TEST(SenderHost, ReadRequestEnqueuesPackets) {
