@@ -8,6 +8,7 @@
 #include <set>
 #include <sstream>
 
+#include "analyze/file_rules.h"
 #include "analyze/graph.h"
 #include "analyze/index.h"
 #include "analyze/source.h"
@@ -19,7 +20,6 @@ namespace fs = std::filesystem;
 
 constexpr const char* kHotSinks[] = {"new", "malloc", "make-unique-shared", "std-function",
                                      "container-growth"};
-constexpr const char* kDetSinks[] = {"wallclock", "rand", "unordered-iter", "pointer-keyed"};
 
 // Modules whose code runs inside partition callbacks under the
 // parallel engine (everything the datapath executes; harness layers
@@ -61,8 +61,8 @@ std::string rel_to_root(const fs::path& p, const fs::path& root) {
   return rel.empty() ? p.generic_string() : rel;
 }
 
-// Mirrors hicc_lint's collect_files: directories walk recursively,
-// files are taken as-is, everything sorted and deduplicated.
+// Directories walk recursively, files are taken as-is, everything
+// sorted and deduplicated.
 bool collect_files(const Options& opts, const fs::path& root, std::set<std::string>* out,
                    std::string* err) {
   for (const std::string& arg : opts.paths) {
@@ -195,34 +195,6 @@ void rule_include_cycle(const IncludeGraph& graph, std::vector<Diagnostic>* out)
   }
 }
 
-void rule_layer_transitive(const IncludeGraph& graph, std::vector<Diagnostic>* out) {
-  const auto& dag = layer_dag();
-  const auto& closure = layer_dag_closure();
-  for (const IncludeEdge& e : graph.edges()) {
-    std::string mod = path_module(e.from);
-    if (mod.empty() || dag.find(mod) == dag.end()) continue;
-    std::string target_mod = e.target.substr(0, e.target.find('/'));
-    if (dag.find(target_mod) == dag.end()) continue;
-    std::set<std::string> allowed = {mod, "common"};
-    auto it = closure.find(mod);
-    if (it != closure.end()) allowed.insert(it->second.begin(), it->second.end());
-    if (allowed.count(target_mod)) continue;
-    std::string allow_list;
-    for (const std::string& a : allowed) {
-      if (!allow_list.empty()) allow_list += ", ";
-      allow_list += a;
-    }
-    Diagnostic d;
-    d.file = e.from;
-    d.line = e.line;
-    d.col = e.col;
-    d.rule = "ana-layer-transitive";
-    d.message = "src/" + mod + " must not depend on src/" + target_mod +
-                " even transitively (closure: " + allow_list + "; DESIGN.md §9 DAG)";
-    out->push_back(std::move(d));
-  }
-}
-
 void rule_include_unused(const Tree& tree, const IncludeGraph& graph,
                          std::vector<Diagnostic>* out) {
   for (const IncludeEdge& e : graph.edges()) {
@@ -269,7 +241,7 @@ void rule_hot_alloc_reach(const Tree& tree, std::vector<Diagnostic>* out) {
   for (std::size_t g = 0; g < tree.fns.size(); ++g) {
     if (depth[g] < 0) continue;
     const FunctionDef& fn = *tree.fns[g];
-    if (fn.in_hotpath_file) continue;  // direct sites are hicc_lint's job
+    if (fn.in_hotpath_file) continue;  // depth 0: the hot-* rules report it
     for (const SinkSite& s : fn.sinks) {
       if (!sink_in(s, kHotSinks, std::size(kHotSinks))) continue;
       int root = chain_root(parent, static_cast<int>(g));
@@ -282,35 +254,6 @@ void rule_hot_alloc_reach(const Tree& tree, std::vector<Diagnostic>* out) {
                   tree.fns[root]->qualified + "' via " +
                   chain_string(tree, parent, static_cast<int>(g)) +
                   "; steady state must be allocation-free (DESIGN.md §8)";
-      d.chain = chain_links(tree, parent, static_cast<int>(g));
-      out->push_back(std::move(d));
-    }
-  }
-}
-
-void rule_det_reach(const Tree& tree, std::vector<Diagnostic>* out) {
-  std::vector<int> roots;
-  for (std::size_t i = 0; i < tree.fns.size(); ++i) {
-    if (tree.fns[i]->module == "sim") roots.push_back(static_cast<int>(i));
-  }
-  std::vector<int> depth;
-  std::vector<int> parent;
-  reach(tree, roots, &depth, &parent);
-  for (std::size_t g = 0; g < tree.fns.size(); ++g) {
-    if (depth[g] < 1) continue;  // direct sites are hicc_lint's job
-    const FunctionDef& fn = *tree.fns[g];
-    for (const SinkSite& s : fn.sinks) {
-      if (!sink_in(s, kDetSinks, std::size(kDetSinks))) continue;
-      int root = chain_root(parent, static_cast<int>(g));
-      Diagnostic d;
-      d.file = fn.file;
-      d.line = s.line;
-      d.col = s.col;
-      d.rule = "ana-det-reach";
-      d.message = "nondeterminism source (" + s.detail + ") reachable from sim entry '" +
-                  tree.fns[root]->qualified + "' via " +
-                  chain_string(tree, parent, static_cast<int>(g)) +
-                  "; runs must be a pure function of the seed (DESIGN.md §7)";
       d.chain = chain_links(tree, parent, static_cast<int>(g));
       out->push_back(std::move(d));
     }
@@ -389,7 +332,12 @@ Result run(const Options& opts) {
     tree.files.emplace(rel, std::move(sf));
   }
   for (const auto& [rel, sf] : tree.files) {
-    tree.index.emplace(rel, index_file(sf));
+    const SourceFile* sibling = nullptr;
+    if (rel.size() > 4 && rel.compare(rel.size() - 4, 4, ".cpp") == 0) {
+      auto it = tree.files.find(rel.substr(0, rel.size() - 4) + ".h");
+      if (it != tree.files.end()) sibling = &it->second;
+    }
+    tree.index.emplace(rel, index_file(sf, sibling));
   }
 
   IncludeGraph graph;
@@ -397,14 +345,14 @@ Result run(const Options& opts) {
   build_call_graph(&tree);
 
   std::vector<Diagnostic> raw;
+  const Docs docs = load_docs(root.string());
+  for (const auto& [rel, sf] : tree.files) check_file(sf, tree.index.at(rel), docs, &raw);
   rule_include_cycle(graph, &raw);
-  rule_layer_transitive(graph, &raw);
   rule_include_unused(tree, graph, &raw);
   rule_hot_alloc_reach(tree, &raw);
-  rule_det_reach(tree, &raw);
   rule_par_global_reach(tree, &raw);
 
-  // Suppressions (shared hicc-lint grammar), then baseline for errors.
+  // Suppressions, then baseline for errors.
   int suppressions_used = 0;
   std::vector<Diagnostic> kept;
   for (Diagnostic& d : raw) {
@@ -441,7 +389,7 @@ Result run(const Options& opts) {
     if (!used_baseline.count(key)) res.stale_baseline.push_back(key);
   }
 
-  // Strict: unused ana-* suppressions become findings of their own.
+  // Strict: unused suppressions become findings of their own.
   if (opts.strict) {
     for (const auto& [rel, sf] : tree.files) {
       for (const auto& [line, rule] : sf.unused_allows()) {
@@ -502,20 +450,15 @@ std::string format_text(const Result& r, bool strict) {
   return out.str();
 }
 
-std::string dump_dag() {
-  std::ostringstream out;
-  for (const auto& [mod, deps] : layer_dag()) {
-    out << mod << ":";
-    for (const std::string& d : deps) out << " " << d;
-    out << "\n";
-  }
-  return out.str();
-}
-
 std::vector<std::string> rule_ids() {
-  return {"ana-det-reach",       "ana-hot-alloc-reach", "ana-include-cycle",
-          "ana-include-unused",  "ana-layer-transitive", "ana-par-global-reach",
-          "ana-unused-suppression"};
+  return {"ana-hot-alloc-reach",  "ana-include-cycle",    "ana-include-unused",
+          "ana-par-global-reach", "ana-unused-suppression", "det-pointer-keyed",
+          "det-rand",             "det-seeded-rng",       "det-unordered-iter",
+          "det-wallclock",        "docs-par-knob",        "docs-probe-dynamic",
+          "docs-probe-undocumented", "docs-run-status",   "hot-heap-alloc",
+          "hot-marker-missing",   "hot-std-function",     "hot-vector-growth",
+          "layer-dag",            "layer-trace-header",   "par-engine-post",
+          "par-static-mutable",   "rob-exit"};
 }
 
 }  // namespace hicc::analyze

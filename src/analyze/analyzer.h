@@ -1,26 +1,21 @@
-// Whole-program semantic analyzer, layer 5: the analysis driver.
+// Static analyzer, layer 6: the analysis driver.
 //
 // run() loads and lexes every C++ file under the requested paths,
-// builds the include graph and the approximate call graph, and applies
-// the rule set:
+// indexes each one, builds the include graph and the approximate call
+// graph, and applies the rule set: the per-file rules (file_rules.h)
+// and the whole-program ones --
 //
 //   ana-include-cycle      include cycles
-//   ana-layer-transitive   include edges outside the layering DAG's
-//                          transitive closure
 //   ana-include-unused     direct includes providing nothing the
 //                          includer mentions (warning-level advisory)
-//   ana-hot-alloc-reach    allocation sites reachable from functions
-//                          in hotpath-marked files, where the sink
-//                          lives in a file the per-line linter's hot
-//                          rules do not cover
-//   ana-det-reach          wall-clock / global-RNG / unordered-
-//                          iteration / pointer-keyed-ordering sites
-//                          reachable (>= 1 call hop) from functions
-//                          defined in src/sim -- the simulator entry
-//                          points
+//   ana-hot-alloc-reach    allocation sinks in files without the
+//                          hotpath marker, reachable from functions in
+//                          hotpath-marked files (the hot-* rules report
+//                          the sinks inside those files)
 //   ana-par-global-reach   references to namespace-scope mutable
 //                          variables from functions reachable from
 //                          partition-module seams
+//   ana-unused-suppression (--strict) an allow that silences nothing
 //
 // Call edges are layering-aware: a call in module M only resolves to
 // definitions in M, common, or M's transitive DAG closure, which is
@@ -36,8 +31,8 @@
 namespace hicc::analyze {
 
 struct Options {
-  std::string root;                // directory containing src/ (default ".")
-  std::vector<std::string> paths;  // files/dirs to scan, relative to cwd
+  std::string root;                // holds src/ and docs/ (default ".")
+  std::vector<std::string> paths;  // files/dirs to scan, relative to root
   std::string baseline_path;       // "" -> <root>/scripts/hicc_analyze_baseline.txt
   bool strict = false;             // fail on stale baseline/suppressions
 };
@@ -57,13 +52,9 @@ struct Result {
 /// Runs the full analysis. Deterministic: same tree, same output.
 Result run(const Options& opts);
 
-/// Renders the human-readable output exactly the way hicc_lint does:
-/// sorted diagnostics, then the summary / staleness / OK lines.
+/// Renders the human-readable output: sorted diagnostics, then the
+/// summary / staleness / OK lines.
 std::string format_text(const Result& r, bool strict);
-
-/// The analyzer's copy of the layering DAG as "module: dep dep ..."
-/// lines (sorted), for the DAG lockstep test.
-std::string dump_dag();
 
 /// Sorted rule ids (--list-rules).
 std::vector<std::string> rule_ids();

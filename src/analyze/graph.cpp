@@ -127,8 +127,8 @@ std::vector<IncludeCycle> IncludeGraph::find_cycles() const {
 }
 
 const std::map<std::string, std::set<std::string>>& layer_dag() {
-  // Lockstep contract: identical to scripts/hicc_lint.py LAYER_DAG and
-  // the DESIGN.md §9 table (tests/dag_lockstep_test.py enforces it).
+  // The only copy of the DAG; DESIGN.md §9 explains how to read it.
+  // Every module may also include itself and common.
   static const std::map<std::string, std::set<std::string>> kDag = {
       {"common", {}},
       {"sim", {}},
@@ -171,13 +171,6 @@ const std::map<std::string, std::set<std::string>>& layer_dag_closure() {
     return closure;
   }();
   return kClosure;
-}
-
-std::string path_module(const std::string& rel_path) {
-  if (rel_path.compare(0, 4, "src/") != 0) return "";
-  std::size_t slash = rel_path.find('/', 4);
-  if (slash == std::string::npos) return "";
-  return rel_path.substr(4, slash - 4);
 }
 
 }  // namespace hicc::analyze

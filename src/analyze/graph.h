@@ -1,19 +1,15 @@
-// Whole-program semantic analyzer, layer 3: the include graph.
+// Static analyzer, layer 3: the include graph and the layering DAG.
 //
 // Nodes are root-relative file paths; edges are quoted #include
 // directives, resolved first against the src/-rooted include path the
 // build uses (target_include_directories(... src)), then relative to
-// the including file. The graph backs three rules:
+// the including file. The graph backs ana-include-cycle (DFS back
+// edges) and ana-include-unused (a direct include none of whose
+// provided names the includer mentions).
 //
-//   ana-include-cycle      include cycles (DFS back edges)
-//   ana-layer-transitive   an edge whose target module is outside the
-//                          including module's transitive DAG closure
-//   ana-include-unused     a direct include none of whose provided
-//                          names the includer mentions (advisory)
-//
-// The module layering DAG lives here too. It must stay identical to
-// scripts/hicc_lint.py's LAYER_DAG and to the DESIGN.md §9 table;
-// tests/dag_lockstep_test.py pins all three together.
+// layer_dag() is the project's one copy of the module layering DAG:
+// the layer-dag rule checks every direct include against it, and its
+// transitive closure bounds call-graph resolution.
 #pragma once
 
 #include <map>
@@ -58,14 +54,11 @@ class IncludeGraph {
 };
 
 /// The module layering DAG: module -> modules it may include directly
-/// (besides itself and common). Kept in lockstep with hicc_lint.py.
+/// (besides itself and common).
 const std::map<std::string, std::set<std::string>>& layer_dag();
 
 /// Transitive closure of layer_dag(): module -> every module it may
 /// depend on through any chain of allowed direct includes.
 const std::map<std::string, std::set<std::string>>& layer_dag_closure();
-
-/// "sim" for src/sim/..., "" otherwise.
-std::string path_module(const std::string& rel_path);
 
 }  // namespace hicc::analyze

@@ -28,22 +28,16 @@ const std::set<std::string>& keyword_set() {
   return kKeywords;
 }
 
-bool is_one_of(const std::string& s, std::initializer_list<const char*> opts) {
-  for (const char* o : opts) {
-    if (s == o) return true;
-  }
-  return false;
-}
-
-// Walks the whole token stream once collecting variable names declared
-// as unordered_{map,set} (mirrors hicc_lint's UNORDERED_DECL_RE +
-// DECL_NAME_RE pass; class members included, as with decl_code there).
-std::set<std::string> collect_unordered_vars(const std::vector<Token>& t) {
-  std::set<std::string> names;
+// Adds to `names` every variable declared with one of the template
+// `types` (`std::` required when `need_std`): the identifier right after
+// the closing `>` (and any &, *, const) that a ; = { ( follows. Class
+// members count, so a .cpp sees the containers its header declares.
+void collect_declared(const std::vector<Token>& t, std::initializer_list<const char*> types,
+                      bool need_std, std::set<std::string>* names) {
   for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-    if (t[i].kind != Token::Kind::kIdent) continue;
-    if (t[i].text != "unordered_map" && t[i].text != "unordered_set") continue;
-    if (t[i + 1].text != "<") continue;
+    if (t[i].kind != Token::Kind::kIdent || t[i + 1].text != "<") continue;
+    if (!is_one_of(t[i].text, types)) continue;
+    if (need_std && (i < 2 || t[i - 1].text != "::" || t[i - 2].text != "std")) continue;
     int depth = 0;
     std::size_t j = i + 1;
     for (; j < t.size() && j < i + 120; ++j) {
@@ -58,10 +52,19 @@ std::set<std::string> collect_unordered_vars(const std::vector<Token>& t) {
     while (j < t.size() && (t[j].text == "&" || t[j].text == "*" || t[j].text == "const")) ++j;
     if (j + 1 < t.size() && t[j].kind == Token::Kind::kIdent && !is_cxx_keyword(t[j].text) &&
         is_one_of(t[j + 1].text, {";", "=", "{", "("})) {
-      names.insert(t[j].text);
+      names->insert(t[j].text);
     }
   }
-  return names;
+}
+
+// Names on which `name.reserve(` is called.
+void collect_reserved(const std::vector<Token>& t, std::set<std::string>* names) {
+  for (std::size_t i = 0; i + 3 < t.size(); ++i) {
+    if (t[i].kind == Token::Kind::kIdent && t[i + 1].text == "." && t[i + 2].text == "reserve" &&
+        t[i + 3].text == "(") {
+      names->insert(t[i].text);
+    }
+  }
 }
 
 // The structural scanner. One instance per file; `scan()` drives a
@@ -69,8 +72,15 @@ std::set<std::string> collect_unordered_vars(const std::vector<Token>& t) {
 // function bodies to `scan_body`.
 class Scanner {
  public:
-  Scanner(const SourceFile& sf, FileIndex& out)
-      : sf_(sf), out_(out), t_(sf.tokens), unordered_vars_(collect_unordered_vars(sf.tokens)) {}
+  Scanner(const SourceFile& sf, const SourceFile* sibling, FileIndex& out)
+      : sf_(sf), out_(out), t_(sf.tokens) {
+    for (const SourceFile* f : {&sf, sibling}) {
+      if (f == nullptr) continue;
+      collect_declared(f->tokens, {"unordered_map", "unordered_set"}, false, &unordered_vars_);
+      collect_declared(f->tokens, {"vector"}, true, &out_.vectors);
+      collect_reserved(f->tokens, &out_.reserved);
+    }
+  }
 
   void scan() {
     for (const Token& tok : t_) {
@@ -80,6 +90,7 @@ class Scanner {
     }
     std::size_t i = 0;
     scan_decls(&i);
+    scan_sinks();
   }
 
  private:
@@ -93,6 +104,9 @@ class Scanner {
   const std::vector<Token>& t_;
   std::set<std::string> unordered_vars_;
   std::vector<Scope> scopes_;
+  // Body token range [begin, end) of each out_.functions entry, in
+  // token order (bodies never nest: lambdas belong to their function).
+  std::vector<std::pair<std::size_t, std::size_t>> bodies_;
 
   [[nodiscard]] bool in_class() const {
     for (const Scope& s : scopes_) {
@@ -460,7 +474,9 @@ class Scanner {
     // Only free functions are provided names; member definitions are
     // reached through their class.
     if (!is_cxx_keyword(fn.name) && owner.empty()) provide(fn.name);
+    const std::size_t begin = *i;
     scan_body(&fn, i);
+    bodies_.emplace_back(begin, *i);
     out_.functions.push_back(std::move(fn));
   }
 
@@ -494,61 +510,18 @@ class Scanner {
     return i > 0 ? t_[i - 1].text : kEmpty;
   }
 
-  // Looks at one identifier inside a body for call sites and sinks.
+  // Looks at one identifier inside a body for call sites.
   void scan_ident(FunctionDef* fn, std::size_t i) {
     const Token& tok = t_[i];
     const std::string& name = tok.text;
     const std::string& prev = prev_text(i);
     const std::string& next = next_text(i);
     const bool member_access = prev == "." || prev == "->";
-    const bool std_qualified = prev == "::" && i >= 2 && t_[i - 2].text == "std";
 
     if (!is_cxx_keyword(name) && !member_access && prev != "::" && next != "(" && next != "::") {
       const bool decl_like = i > 0 && t_[i - 1].kind == Token::Kind::kIdent &&
                              !is_cxx_keyword(t_[i - 1].text);
       if (!decl_like) fn->body_idents.emplace(name, std::make_pair(tok.line, tok.col));
-    }
-
-    // -- sinks ------------------------------------------------------
-    if (name == "new" && prev != "operator" && !member_access && prev != "::" && next != "(" &&
-        next != ";") {
-      fn->sinks.push_back({"new", "new", tok.line, tok.col});
-      return;
-    }
-    if (!member_access && next == "(" &&
-        is_one_of(name, {"malloc", "calloc", "realloc", "aligned_alloc"})) {
-      fn->sinks.push_back({"malloc", name, tok.line, tok.col});
-    }
-    if (std_qualified && next == "<" && is_one_of(name, {"make_unique", "make_shared"})) {
-      fn->sinks.push_back({"make-unique-shared", "std::" + name, tok.line, tok.col});
-    }
-    if (std_qualified && next == "<" && name == "function") {
-      fn->sinks.push_back({"std-function", "std::function", tok.line, tok.col});
-    }
-    if (member_access && next == "(" && is_one_of(name, {"push_back", "emplace_back"})) {
-      std::string obj = i >= 2 && t_[i - 2].kind == Token::Kind::kIdent ? t_[i - 2].text : "?";
-      fn->sinks.push_back({"container-growth", obj + "." + name, tok.line, tok.col});
-    }
-    if (name == "now" && prev == "::" && i >= 2 &&
-        is_one_of(t_[i - 2].text, {"steady_clock", "system_clock", "high_resolution_clock"})) {
-      fn->sinks.push_back({"wallclock", t_[i - 2].text + "::now", tok.line, tok.col});
-    }
-    if (!member_access && next == "(" &&
-        is_one_of(name, {"time", "clock_gettime", "gettimeofday", "clock"})) {
-      fn->sinks.push_back({"wallclock", name, tok.line, tok.col});
-    }
-    if (!member_access && next == "(" &&
-        is_one_of(name, {"rand", "srand", "rand_r", "drand48", "random"})) {
-      fn->sinks.push_back({"rand", name, tok.line, tok.col});
-    }
-    if (std_qualified && is_one_of(name, {"random_device", "mt19937", "mt19937_64"})) {
-      fn->sinks.push_back({"rand", "std::" + name, tok.line, tok.col});
-    }
-    if (std_qualified && next == "<" && (name == "map" || name == "set")) {
-      scan_pointer_key(fn, i);
-    }
-    if (name == "for" && next == "(") {
-      scan_range_for(fn, i);
     }
 
     // -- call sites -------------------------------------------------
@@ -574,8 +547,89 @@ class Scanner {
     fn->calls.push_back({name, tok.line, tok.col});
   }
 
-  // At `std::map<` / `std::set<`: flags a pointer-typed key.
-  void scan_pointer_key(FunctionDef* fn, std::size_t i) {
+  // ---- the sink catalog ------------------------------------------
+
+  // Records every sink in the file and hands each one to the function
+  // whose body holds it.
+  void scan_sinks() {
+    std::size_t body = 0;
+    for (std::size_t i = 0; i < t_.size(); ++i) {
+      if (t_[i].kind != Token::Kind::kIdent) continue;
+      SinkSite s;
+      if (!sink_at(i, &s)) continue;
+      while (body < bodies_.size() && bodies_[body].second <= i) ++body;
+      if (body < bodies_.size() && bodies_[body].first <= i) {
+        out_.functions[body].sinks.push_back(s);
+      }
+      out_.sinks.push_back(std::move(s));
+    }
+  }
+
+  bool sink_at(std::size_t i, SinkSite* s) const {
+    const Token& tok = t_[i];
+    const std::string& name = tok.text;
+    const std::string& prev = prev_text(i);
+    const std::string& next = next_text(i);
+    const bool member_access = prev == "." || prev == "->";
+    const bool std_qualified = prev == "::" && i >= 2 && t_[i - 2].text == "std";
+    const Token& at = std_qualified ? t_[i - 2] : tok;
+    auto found = [&](const char* kind, std::string detail, const Token& pos) {
+      *s = {kind, std::move(detail), "", pos.line, pos.col};
+      return true;
+    };
+    if (name == "new" && prev != "operator" && !member_access && prev != "::" && next != "(" &&
+        next != ";") {
+      return found("new", "new", tok);
+    }
+    if (!member_access && next == "(" &&
+        is_one_of(name, {"malloc", "calloc", "realloc", "aligned_alloc"})) {
+      return found("malloc", name, tok);
+    }
+    if (std_qualified && next == "<" && is_one_of(name, {"make_unique", "make_shared"})) {
+      return found("make-unique-shared", "std::" + name, at);
+    }
+    if (std_qualified && next == "<" && name == "function") {
+      return found("std-function", "std::function", at);
+    }
+    if (member_access && next == "(" && is_one_of(name, {"push_back", "emplace_back"})) {
+      const bool named = i >= 2 && t_[i - 2].kind == Token::Kind::kIdent;
+      found("container-growth", (named ? t_[i - 2].text : "?") + prev + name,
+            named ? t_[i - 2] : tok);
+      if (named && prev == ".") s->receiver = t_[i - 2].text;
+      return true;
+    }
+    if (name == "now" && prev == "::" && i >= 2 &&
+        is_one_of(t_[i - 2].text, {"steady_clock", "system_clock", "high_resolution_clock"})) {
+      std::size_t start = i - 2;  // back to the head of std::chrono::..._clock
+      while (start >= 2 && t_[start - 1].text == "::" &&
+             t_[start - 2].kind == Token::Kind::kIdent) {
+        start -= 2;
+      }
+      return found("wallclock", t_[i - 2].text + "::now", t_[start]);
+    }
+    if (!member_access && next == "(" &&
+        is_one_of(name, {"time", "clock_gettime", "gettimeofday", "clock"})) {
+      return found("wallclock", name, tok);
+    }
+    if (!member_access && next == "(" &&
+        is_one_of(name, {"rand", "srand", "rand_r", "drand48", "random"})) {
+      return found("rand", name, tok);
+    }
+    if (std_qualified && is_one_of(name, {"random_device", "mt19937", "mt19937_64"})) {
+      return found("rand", "std::" + name, at);
+    }
+    if (std_qualified && next == "<" && (name == "map" || name == "set") && pointer_key(i)) {
+      return found("pointer-keyed", "std::" + name + "<T*, ...>", at);
+    }
+    if (name == "for" && next == "(") {
+      std::string over = unordered_range(i);
+      if (!over.empty()) return found("unordered-iter", over, tok);
+    }
+    return false;
+  }
+
+  // At `std::map<` / `std::set<`: true when the key type is a pointer.
+  [[nodiscard]] bool pointer_key(std::size_t i) const {
     int depth = 0;
     std::string last;
     for (std::size_t j = i + 1; j < t_.size() && j < i + 120; ++j) {
@@ -583,36 +637,26 @@ class Scanner {
       if (x == "<") ++depth;
       if (x == ">") --depth;
       if (x == ">>") depth -= 2;
-      if (depth <= 0 || (depth == 1 && x == ",")) {
-        if (last == "*") {
-          fn->sinks.push_back(
-              {"pointer-keyed", "std::" + t_[i].text + "<T*, ...>", t_[i].line, t_[i].col});
-        }
-        return;
-      }
-      if (x == ";" || x == "{") return;
+      if (depth <= 0 || (depth == 1 && x == ",")) return last == "*";
+      if (x == ";" || x == "{") return false;
       if (j > i + 1) last = x;
     }
+    return false;
   }
 
-  // At `for (`: flags range-for over a variable declared unordered.
-  void scan_range_for(FunctionDef* fn, std::size_t i) {
+  // At `for (`: the unordered container a range-for walks, or "".
+  [[nodiscard]] std::string unordered_range(std::size_t i) const {
     int depth = 0;
     bool past_colon = false;
     for (std::size_t j = i + 1; j < t_.size() && j < i + 80; ++j) {
       const std::string& x = t_[j].text;
       if (x == "(") ++depth;
-      if (x == ")") {
-        --depth;
-        if (depth == 0) return;
-      }
-      if (x == ";") return;  // classic for
+      if (x == ")" && --depth == 0) return "";
+      if (x == ";") return "";  // classic for
       if (depth == 1 && x == ":") past_colon = true;
-      if (past_colon && t_[j].kind == Token::Kind::kIdent && unordered_vars_.count(x)) {
-        fn->sinks.push_back({"unordered-iter", x, t_[i].line, t_[i].col});
-        return;
-      }
+      if (past_colon && t_[j].kind == Token::Kind::kIdent && unordered_vars_.count(x)) return x;
     }
+    return "";
   }
 };
 
@@ -620,10 +664,17 @@ class Scanner {
 
 bool is_cxx_keyword(const std::string& word) { return keyword_set().count(word) > 0; }
 
-FileIndex index_file(const SourceFile& sf) {
+bool is_one_of(const std::string& s, std::initializer_list<const char*> opts) {
+  for (const char* o : opts) {
+    if (s == o) return true;
+  }
+  return false;
+}
+
+FileIndex index_file(const SourceFile& sf, const SourceFile* sibling) {
   FileIndex out;
   for (const std::string& m : sf.macro_defines) out.provided.insert(m);
-  Scanner scanner(sf, out);
+  Scanner scanner(sf, sibling, out);
   scanner.scan();
   return out;
 }

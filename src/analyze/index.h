@@ -1,4 +1,4 @@
-// Whole-program semantic analyzer, layer 2: the per-file index.
+// Static analyzer, layer 2: the per-file index.
 //
 // A single forward pass over the token stream recovers an approximate
 // structural view of each translation unit without a real parse:
@@ -6,10 +6,12 @@
 //   * function definitions (namespace- and class-scope, ctors/dtors,
 //     qualified names like Engine::run) with their body token ranges;
 //   * call sites inside each body (`name(...)`, `obj.name(...)`);
-//   * sink sites inside each body -- the allocation / nondeterminism
-//     patterns the reachability rules propagate (mirrors the sink
-//     regexes in scripts/hicc_lint.py so the two tools agree on what
-//     counts as an allocation or a wall clock);
+//   * the sink catalog: every allocation and nondeterminism site in
+//     the file, at any scope, each attributed to the function whose
+//     body holds it. This is the analyzer's one definition of both:
+//     the hot-* and det-* rules report the sinks a file holds itself,
+//     and ana-hot-alloc-reach reports the ones a hot path reaches
+//     through calls;
 //   * namespace-scope mutable variables (the state the partition
 //     single-writer rule tracks references to);
 //   * every name the file provides to includers (classes, enums and
@@ -22,9 +24,10 @@
 // branches, treats lambdas as part of the enclosing function, and does
 // not instantiate templates). Rules built on it are tuned so that
 // approximation errs toward silence, and every diagnostic can be
-// suppressed with the shared `hicc-lint: allow(...)` grammar.
+// suppressed with an allow comment (source.h).
 #pragma once
 
+#include <initializer_list>
 #include <map>
 #include <set>
 #include <string>
@@ -40,12 +43,15 @@ struct CallSite {
   int col = 0;
 };
 
-/// A pattern occurrence a reachability rule treats as a sink.
-/// `kind` is one of: new, malloc, make-unique-shared, std-function,
-/// container-growth, wallclock, rand, unordered-iter, pointer-keyed.
+/// One catalog entry. `kind` is one of: new, malloc,
+/// make-unique-shared, std-function, container-growth (allocation),
+/// wallclock, rand, unordered-iter, pointer-keyed (nondeterminism).
+/// The position is the start of the offending expression: `std` of a
+/// qualified name, the receiver of a push_back, the `for` of a loop.
 struct SinkSite {
   std::string kind;
-  std::string detail;  // the offending token text, e.g. "malloc"
+  std::string detail;    // the offending text, e.g. "malloc"
+  std::string receiver;  // container-growth through `.`: the object grown
   int line = 0;
   int col = 0;
 };
@@ -81,12 +87,20 @@ struct FileIndex {
   std::vector<GlobalVar> mutable_globals;  // namespace-scope, non-const
   std::set<std::string> provided;          // names usable by includers
   std::set<std::string> used_idents;       // every identifier mentioned
+  std::vector<SinkSite> sinks;             // the whole file, token order
+  std::set<std::string> vectors;           // names declared std::vector<...>
+  std::set<std::string> reserved;          // names with a .reserve( call
 };
 
-/// Scans a lexed file into its index. Pure function of the tokens.
-FileIndex index_file(const SourceFile& sf);
+/// Scans a lexed file into its index. Pure function of the tokens. A
+/// .cpp passes its sibling header, whose member declarations (unordered
+/// and vector names, reserve calls) the file's loops and growth use.
+FileIndex index_file(const SourceFile& sf, const SourceFile* sibling = nullptr);
 
 /// True for C++ keywords and analyzer-ignored builtins (never callees).
 bool is_cxx_keyword(const std::string& word);
+
+/// True when `s` equals one of `opts`.
+bool is_one_of(const std::string& s, std::initializer_list<const char*> opts);
 
 }  // namespace hicc::analyze

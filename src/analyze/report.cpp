@@ -58,9 +58,8 @@ std::string Diagnostic::text() const {
 }
 
 void sort_diagnostics(std::vector<Diagnostic>* diags) {
-  std::sort(diags->begin(), diags->end(), [](const Diagnostic& a, const Diagnostic& b) {
-    return std::tie(a.file, a.line, a.col, a.rule, a.message) <
-           std::tie(b.file, b.line, b.col, b.rule, b.message);
+  std::stable_sort(diags->begin(), diags->end(), [](const Diagnostic& a, const Diagnostic& b) {
+    return std::tie(a.file, a.line, a.col, a.rule) < std::tie(b.file, b.line, b.col, b.rule);
   });
 }
 

@@ -1,14 +1,13 @@
-// Whole-program semantic analyzer, layer 4: reporting.
+// Static analyzer, layer 4: reporting.
 //
-// Diagnostics print in hicc_lint's exact shape --
+// Diagnostics print as
 //
 //   file:line:col: rule-id: message
 //
-// sorted by (file, line, col, rule), and the baseline file uses the
-// same text-keyed format (`file|rule|normalized source text`), so the
-// two tools' workflows are interchangeable: grandfather with
-// --write-baseline, shrink the file over time, and --strict fails on
-// entries that no longer match.
+// sorted by (file, line, col, rule), and the baseline file is keyed by
+// text (`file|rule|normalized source text`), so an entry survives
+// unrelated edits: grandfather with --write-baseline, shrink the file
+// over time, and --strict fails on entries that no longer match.
 //
 // The machine-readable report is the `hicc.analysis.v1` JSON schema:
 // a single object with schema id, deterministic scan counters, the
@@ -36,7 +35,7 @@ struct Diagnostic {
   [[nodiscard]] std::string text() const;
 };
 
-/// Orders by (file, line, col, rule, message).
+/// Orders by (file, line, col, rule); ties keep their emission order.
 void sort_diagnostics(std::vector<Diagnostic>* diags);
 
 /// Reads a baseline file: one key per line, '#' comments and blank

@@ -1,6 +1,7 @@
 #include "analyze/source.h"
 
 #include <cctype>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -26,7 +27,7 @@ struct Lexer {
   std::size_t i = 0;
   int line = 1;
   int col = 1;
-  std::string code_line;  // current stripped line being built
+  std::vector<int> comment_lines;  // lines holding a // comment
 
   explicit Lexer(const std::string& t, SourceFile& o) : text(t), out(o) {}
 
@@ -34,54 +35,49 @@ struct Lexer {
     return i + ahead < text.size() ? text[i + ahead] : '\0';
   }
 
-  void emit_code(char c) { code_line.push_back(c); }
-
-  void advance(char visible) {
-    // Consumes one source character, mirroring it (or a blank) into the
-    // stripped code view so columns line up with the raw file.
+  void advance() {
+    // Consumes one source character, tracking its line and column.
     if (text[i] == '\n') {
-      out.code.push_back(code_line);
-      code_line.clear();
       ++line;
       col = 1;
     } else {
-      emit_code(visible);
       ++col;
     }
     ++i;
   }
 
-  void skip_blank(std::size_t n) {
-    for (std::size_t k = 0; k < n && i < text.size(); ++k) advance(' ');
+  void skip(std::size_t n) {
+    for (std::size_t k = 0; k < n && i < text.size(); ++k) advance();
   }
 
   void line_comment() {
-    while (i < text.size() && text[i] != '\n') advance(' ');
+    if (comment_lines.empty() || comment_lines.back() != line) comment_lines.push_back(line);
+    while (i < text.size() && text[i] != '\n') advance();
   }
 
   void block_comment() {
-    skip_blank(2);
+    skip(2);
     while (i < text.size()) {
       if (text[i] == '*' && peek(1) == '/') {
-        skip_blank(2);
+        skip(2);
         return;
       }
-      advance(' ');
+      advance();
     }
   }
 
   void string_literal(char quote) {
-    advance(quote);
+    advance();
     while (i < text.size() && text[i] != '\n') {
       if (text[i] == '\\') {
-        skip_blank(2);
+        skip(2);
         continue;
       }
       if (text[i] == quote) {
-        advance(quote);
+        advance();
         return;
       }
-      advance(' ');
+      advance();
     }
   }
 
@@ -91,22 +87,22 @@ struct Lexer {
     std::string delim;
     while (j < text.size() && text[j] != '(' && delim.size() <= 16) delim.push_back(text[j++]);
     if (j >= text.size() || text[j] != '(') {  // not actually a raw string
-      advance('R');
+      advance();
       return;
     }
-    skip_blank(j + 1 - i);  // R"delim(
+    skip(j + 1 - i);  // R"delim(
     const std::string closer = ")" + delim + "\"";
     while (i < text.size()) {
       if (text.compare(i, closer.size(), closer) == 0) {
-        skip_blank(closer.size());
+        skip(closer.size());
         return;
       }
-      advance(' ');
+      advance();
     }
   }
 
   // Preprocessor directive: record #include "..." / #define NAME, then
-  // blank the whole (possibly continued) line so conditional-compilation
+  // skip the whole (possibly continued) line so conditional-compilation
   // branches and macro bodies never unbalance the token stream.
   void preprocessor() {
     std::size_t j = i + 1;
@@ -137,8 +133,8 @@ struct Lexer {
     // Blank to end of line, honoring backslash continuations.
     while (i < text.size()) {
       if (text[i] == '\\' && peek(1) == '\n') {
-        advance(' ');  // the backslash
-        advance(' ');  // the newline (advances `line`)
+        advance();  // the backslash
+        advance();  // the newline (advances `line`)
         continue;
       }
       if (text[i] == '\n') return;  // leave the newline to the main loop
@@ -151,7 +147,7 @@ struct Lexer {
         block_comment();
         continue;
       }
-      advance(' ');
+      advance();
     }
   }
 
@@ -160,12 +156,12 @@ struct Lexer {
     while (i < text.size()) {
       const char c = text[i];
       if (c == '\n') {
-        advance(c);
+        advance();
         at_line_start = true;
         continue;
       }
       if (c == ' ' || c == '\t' || c == '\r' || c == '\f' || c == '\v') {
-        advance(' ');
+        advance();
         continue;
       }
       if (c == '#' && at_line_start) {
@@ -203,7 +199,7 @@ struct Lexer {
                   text[i - 1] == 'P')) ||
                 (text[i] == '\'' && i + 1 < text.size() && ident_char(text[i + 1])))) {
           t.text.push_back(text[i]);
-          advance(text[i]);
+          advance();
         }
         out.tokens.push_back(std::move(t));
         continue;
@@ -212,7 +208,7 @@ struct Lexer {
         Token t{Token::Kind::kIdent, "", line, col};
         while (i < text.size() && ident_char(text[i])) {
           t.text.push_back(text[i]);
-          advance(text[i]);
+          advance();
         }
         out.tokens.push_back(std::move(t));
         continue;
@@ -237,10 +233,9 @@ struct Lexer {
         }
       }
       if (!matched) t.text = std::string(1, c);
-      for (std::size_t k = 0; k < t.text.size(); ++k) advance(t.text[k]);
+      for (std::size_t k = 0; k < t.text.size(); ++k) advance();
       out.tokens.push_back(std::move(t));
     }
-    out.code.push_back(code_line);
   }
 };
 
@@ -273,15 +268,29 @@ std::set<std::string> split_rules(const std::string& s) {
   return rules;
 }
 
-void scan_suppressions(SourceFile& sf) {
-  for (std::size_t idx = 0; idx < sf.raw.size(); ++idx) {
+// Position just past a "//" + blanks + "hicc-lint:" comment opener on
+// `line`, or npos; *comment gets the position of that "//".
+std::size_t tag_body(const std::string& line, std::size_t* comment) {
+  const std::size_t tag_len = std::strlen(kAllowTag);
+  for (std::size_t c = line.find("//"); c != std::string::npos; c = line.find("//", c + 1)) {
+    std::size_t t = line.find_first_not_of(" \t", c + 2);
+    if (t != std::string::npos && line.compare(t, tag_len, kAllowTag) == 0) {
+      *comment = c;
+      return line.find_first_not_of(" \t", t + tag_len);
+    }
+  }
+  return std::string::npos;
+}
+
+// Reads the tag only on lines the lexer saw a // comment on, so a
+// string literal that spells the tag is never a suppression.
+void scan_suppressions(SourceFile& sf, const std::vector<int>& comment_lines) {
+  for (int comment_line : comment_lines) {
+    const std::size_t idx = static_cast<std::size_t>(comment_line - 1);
     const std::string& line = sf.raw[idx];
-    std::size_t c = line.find("//");
-    if (c == std::string::npos) continue;
-    std::size_t tag = line.find(kAllowTag, c);
-    if (tag == std::string::npos) continue;
-    std::size_t body = tag + std::string(kAllowTag).size();
-    while (body < line.size() && line[body] == ' ') ++body;
+    std::size_t c = 0;
+    std::size_t body = tag_body(line, &c);
+    if (body == std::string::npos) continue;
     if (line.compare(body, 7, "hotpath") == 0) {
       sf.hotpath = true;
       continue;
@@ -302,8 +311,7 @@ void scan_suppressions(SourceFile& sf) {
     const bool trailing = before.find_first_not_of(" \t") != std::string::npos;
     if (!trailing) {
       // A bare comment covers the next code line; the justification may
-      // continue over further comment-only or blank lines (same skip
-      // rule as hicc_lint.py's FileContext).
+      // continue over further comment-only or blank lines.
       ++target;
       while (target <= sf.raw.size()) {
         const std::string& t = sf.raw[target - 1];
@@ -351,7 +359,6 @@ std::vector<std::pair<int, std::string>> SourceFile::unused_allows() const {
   std::vector<std::pair<int, std::string>> out;
   for (const auto& [line, rules] : line_allows) {
     for (const std::string& rule : rules) {
-      if (rule.compare(0, 4, "ana-") != 0) continue;  // hicc_lint's rules
       if (!used_allows.count({line, rule})) out.emplace_back(line, rule);
     }
   }
@@ -364,8 +371,7 @@ SourceFile parse_source(const std::string& rel_path, const std::string& text) {
   split_lines(text, &sf.raw);
   Lexer lexer(text, sf);
   lexer.run();
-  while (sf.code.size() < sf.raw.size()) sf.code.emplace_back();
-  scan_suppressions(sf);
+  scan_suppressions(sf, lexer.comment_lines);
   return sf;
 }
 

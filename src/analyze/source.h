@@ -1,18 +1,15 @@
-// Whole-program semantic analyzer, layer 1: source loading and lexing.
+// Static analyzer, layer 1: source loading and lexing.
 //
-// hicc_analyze (docs/STATIC_ANALYSIS.md, layer 2 of the gate) is a
-// zero-dependency analyzer: no libclang, no compile step. Each file is
-// loaded once into a SourceFile -- raw lines, a comment/string-stripped
-// "code view" with columns preserved (the same view scripts/hicc_lint.py
-// scans), a token stream with line/col positions, the `#include` and
-// `#define` directives, and the hicc-lint suppression state. The
-// suppression grammar is shared with the line linter by design: a
-// trailing "hicc-lint:" comment carrying allow(rule) -- justification
-// suppresses on that line; on a line of its own it binds to the next
-// code line; allow-file(rule) covers the whole file; and a bare
-// "hotpath" marker opts the file into hot-path rules. Analyzer rules
-// all carry the `ana-` prefix; each tool ignores the other's rule ids
-// when checking for unused suppressions.
+// hicc_analyze (docs/STATIC_ANALYSIS.md) is a zero-dependency analyzer:
+// no libclang, no compile step. Each file is loaded once into a
+// SourceFile -- raw lines, a token stream (comments skipped, string
+// contents dropped) with line/col positions, the `#include` and
+// `#define` directives, and the suppression state. A
+// suppression is a comment that opens with the "hicc-lint:" tag: a
+// trailing allow(rule) -- justification suppresses on its own line; on
+// a line of its own it binds to the next code line; allow-file(rule)
+// covers the whole file; and a bare "hotpath" marker opts the file into
+// the hot-path rules. One grammar covers every rule id.
 #pragma once
 
 #include <map>
@@ -43,7 +40,6 @@ class SourceFile {
  public:
   std::string path;
   std::vector<std::string> raw;   // raw source lines
-  std::vector<std::string> code;  // comments/strings blanked, columns kept
   std::vector<Token> tokens;
   std::vector<IncludeDirective> includes;  // quoted includes only
   std::set<std::string> macro_defines;     // #define NAME
@@ -59,8 +55,7 @@ class SourceFile {
   /// Whitespace-normalized raw text of `line` (baseline key component).
   [[nodiscard]] std::string norm(int line) const;
 
-  /// Inline allows that never fired, restricted to `ana-*` rules
-  /// (other prefixes belong to hicc_lint). Sorted (line, rule) pairs.
+  /// Inline allows that never fired, as sorted (line, rule) pairs.
   [[nodiscard]] std::vector<std::pair<int, std::string>> unused_allows() const;
 
   std::set<std::string> file_allows;

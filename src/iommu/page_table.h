@@ -103,11 +103,14 @@ class IoPageTable {
 
   /// Removes a region's mapping (strict-mode experiments). The region
   /// slot stays allocated; subsequent find() no longer returns it.
+  /// Unmapping a region that is not mapped (already unmapped, or an
+  /// empty region whose base a later region took over) does nothing.
   void unmap_region(RegionId id) {
     const auto& r = regions_.at(static_cast<std::size_t>(id.index));
-    total_mapped_pages_ -= r.num_pages();
     const auto at = std::lower_bound(by_base_.begin(), by_base_.end(), Mapped{r.base, 0});
-    if (at != by_base_.end() && at->base == r.base) by_base_.erase(at);
+    if (at == by_base_.end() || at->base != r.base || at->region != id.index) return;
+    by_base_.erase(at);
+    total_mapped_pages_ -= r.num_pages();
     last_found_ = kNoRegion;
     ++unmap_count_;
   }

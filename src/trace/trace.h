@@ -59,7 +59,7 @@ enum class Kind : std::uint8_t { kCounter, kGauge, kHistogram };
 /// Canonical host-indexed probe name: host_probe(3, "cluster.port_drops")
 /// == "host3.cluster.port_drops". Probes registered through this
 /// helper are documented once in docs/OBSERVABILITY.md under the
-/// template form `host<h>.<name>`; scripts/hicc_lint.py recognizes the
+/// template form `host<h>.<name>`; hicc_analyze (`docs-probe-*`) reads the
 /// idiom and checks the template form instead of the expanded names.
 [[nodiscard]] std::string host_probe(int host, const std::string& name);
 

@@ -5,3 +5,4 @@
 struct B {
   A* peer = nullptr;
 };
+// hicc-lint: hotpath -- the marker rule is not what this tree tests

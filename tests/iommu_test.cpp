@@ -292,6 +292,26 @@ TEST(PageTable, TotalMappedPagesTracksMapUnmap) {
   EXPECT_EQ(t.total_mapped_pages(), 3072);
 }
 
+TEST(PageTable, UnmapTouchesOnlyItsOwnMappedRegion) {
+  IoPageTable t;
+  // An empty region and its successor share one base.
+  const auto empty = t.map_region(Bytes::mib(0), PageSize::k2M);
+  const auto full = t.map_region(Bytes::mib(4), PageSize::k2M);
+  const Iova base = t.region(full).base;
+  ASSERT_EQ(t.region(empty).base, base);
+  t.unmap_region(empty);
+  ASSERT_TRUE(t.find(base).has_value());
+  EXPECT_EQ(t.find(base)->size, Bytes::mib(4));
+  EXPECT_EQ(t.total_mapped_pages(), 2);
+  EXPECT_EQ(t.unmap_count(), 0u);
+  // A second unmap of one region changes nothing.
+  t.unmap_region(full);
+  t.unmap_region(full);
+  EXPECT_EQ(t.total_mapped_pages(), 0);
+  EXPECT_EQ(t.unmap_count(), 1u);
+  EXPECT_FALSE(t.find(base).has_value());
+}
+
 TEST(PageTable, PageIovaAndPageBase) {
   IoPageTable t;
   const auto id = t.map_region(Bytes::mib(4), PageSize::k2M);

@@ -25,7 +25,7 @@ inline void register_probes(Tracer* tracer) {
   tracer->counter(host_probe(3, "nic.documented_per_host").c_str(),
                   "packets");                            // documented family: clean
   tracer->gauge(host_probe(3, "nic.not_per_host").c_str(),
-                "bytes");                                // line 28: docs-probe-undocumented (host<h>. form)
+                "bytes");                                // line 27: docs-probe-undocumented (host<h>. form)
   tracer->gauge(host_probe(3, dynamic_name().c_str()).c_str(),
-                "bytes");                                // line 30: docs-probe-dynamic (computed inner name)
+                "bytes");                                // line 29: docs-probe-dynamic (computed inner name)
 }

@@ -54,4 +54,10 @@ struct DropTable {
   }
 };
 
+struct ByOwner {
+  std::map<const DropTable*, long> by_table;  // line 58: det-pointer-keyed
+  // hicc-lint: allow(det-pointer-keyed) -- fixture demo: lookups only, never iterated
+  std::set<const DropTable*> seen_tables;
+};
+
 }  // namespace fixture

@@ -1,18 +1,16 @@
-// hicc_analyze -- whole-program semantic analysis gate (layer 2 of the
-// static-analysis stack, docs/STATIC_ANALYSIS.md).
+// hicc_analyze -- the project's static analyzer (docs/STATIC_ANALYSIS.md).
 //
 //   hicc_analyze [options] PATH...
 //
-//   --root=DIR        repo root containing src/ (default: cwd)
+//   --root=DIR        repo root containing src/ and docs/ (default: cwd)
 //   --strict          also fail on stale baseline/suppressions (CI mode)
 //   --baseline=FILE   override scripts/hicc_analyze_baseline.txt
 //   --write-baseline  grandfather current findings and exit
 //   --json=FILE       write the hicc.analysis.v1 report
 //   --list-rules      print rule ids and exit
-//   --dump-dag        print the layering DAG (module: dep dep ...)
 //
-// Exit codes mirror scripts/hicc_lint.py: 0 clean, 1 findings (or
-// stale baseline/suppressions under --strict), 2 usage error.
+// Exit codes: 0 clean, 1 findings (or stale baseline/suppressions
+// under --strict), 2 usage error.
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -27,8 +25,7 @@ namespace {
 int usage(const char* msg) {
   if (msg != nullptr) std::cerr << "hicc_analyze: " << msg << "\n";
   std::cerr << "usage: hicc_analyze [--root=DIR] [--strict] [--baseline=FILE]\n"
-               "                    [--write-baseline] [--json=FILE] [--list-rules]\n"
-               "                    [--dump-dag] PATH...\n";
+               "                    [--write-baseline] [--json=FILE] [--list-rules] PATH...\n";
   return 2;
 }
 
@@ -45,7 +42,6 @@ int main(int argc, char** argv) {
   hicc::analyze::Options opts;
   bool write_baseline = false;
   bool list_rules = false;
-  bool dag = false;
   std::string json_path;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -56,8 +52,6 @@ int main(int argc, char** argv) {
       write_baseline = true;
     } else if (arg == "--list-rules") {
       list_rules = true;
-    } else if (arg == "--dump-dag") {
-      dag = true;
     } else if (take_value(arg, "--root", &value)) {
       opts.root = value;
     } else if (take_value(arg, "--baseline", &value)) {
@@ -73,10 +67,6 @@ int main(int argc, char** argv) {
 
   if (list_rules) {
     for (const std::string& r : hicc::analyze::rule_ids()) std::cout << r << "\n";
-    return 0;
-  }
-  if (dag) {
-    std::cout << hicc::analyze::dump_dag();
     return 0;
   }
   if (opts.paths.empty()) return usage("at least one path required");
